@@ -2,7 +2,7 @@
 identities, their Eulerian-polynomial machinery, and the attached integer
 sequences."""
 
-from .polycore import (NEG_INFINITY, Rational, UniPoly, binomial, factorial,
+from .polycore import (NEG_INFINITY, UniPoly, binomial, factorial,
                        falling_product, multinomial)
 from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
                          eulerian_poly, higher_bernoulli_poly,

@@ -219,13 +219,9 @@ def d_coeffs(n: int, k: int, nu: int) -> DCoeffTable:
     else:
         poly = (UniPoly([1, -1], "y") ** (n * k - nu)
                 * multisum_poly(k, nu, n))
-    d = []
-    for j in range(n * k + 1):
-        c = poly.coefficient(j)
-        if c.denominator != 1:
-            raise AssertionError(f"non-integer d coefficient {c}")
-        d.append(c.numerator)
-    return DCoeffTable(n, k, nu, tuple(d))
+    size = n * k + 1
+    d = (poly.integer_coeffs() + (0,) * size)[:size]
+    return DCoeffTable(n, k, nu, d)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +233,8 @@ def a_coeff_list(k: int, n: int) -> tuple[int, ...]:
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     shifted = UniPoly(eulerian_poly(k).coeffs[1:], "y")
-    p = shifted ** n
-    return tuple(int(p.coefficient(j)) for j in range(n * (k - 1) + 1))
+    size = n * (k - 1) + 1
+    return ((shifted ** n).integer_coeffs() + (0,) * size)[:size]
 
 
 def a_jkn(k: int, n: int, j: int) -> int:
@@ -408,7 +404,8 @@ def a_closed_even(n: int) -> int:
     if n % 2:
         raise ValueError("closed form applies to even n")
     v = Fraction(2 ** (2 * n), n + 1) * binomial(3 * n // 2, n)
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise ValueError(f"closed form gave non-integer a_{n} = {v}")
     return v.numerator
 
 

@@ -1,9 +1,17 @@
 """Exact base ring: rationals, dense univariate polynomials, counting helpers.
 
-Coefficients are `fractions.Fraction`, which keeps every stored value reduced
-with a positive denominator.  Polynomials are immutable dense coefficient
-tuples carrying a symbolic variable tag ("z" or "y"); the tag is metadata for
-display, but mixing tags in a binary operation is rejected as a bug.
+A polynomial is stored as a tuple of integer numerators over one positive
+common denominator: coefficient i is ``nums[i] / den``.  The form is
+canonical (trailing zeros stripped, ``gcd(den, *nums) == 1``, and the zero
+polynomial has ``den == 1``), so equality and hashing compare integers, and
+the arithmetic runs on plain ``int``s with one gcd normalisation when a
+result is built.  ``coeffs`` presents the coefficients as reduced
+``fractions.Fraction``s; it is built on first use and cached.  Each
+polynomial carries a symbolic variable tag ("z" or "y"); the tag is metadata
+for display, but mixing tags in a binary operation is rejected as a bug.
+
+tests/test_kernel_reference.py checks this kernel against a small
+``Fraction`` reference that shares no code with it.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 #: degree of the zero polynomial (a sentinel below every integer, never -1)
@@ -43,18 +50,41 @@ def multinomial(parts: Sequence[int]) -> int:
 class UniPoly:
     """Dense univariate polynomial over the rationals.
 
-    coeffs[i] is the coefficient of var**i.  Trailing zeros are stripped on
-    construction; the zero polynomial is the empty tuple.
+    coeffs[i] is the coefficient of var**i, equal to nums[i] / den.  Trailing
+    zeros are stripped on construction; the zero polynomial has empty
+    coefficient tuples.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("nums", "den", "var", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = (), var: str = "z"):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        self._set([c.numerator * (den // c.denominator) for c in cs],
+                  den, var)
+
+    def _set(self, nums: list[int], den: int, var: str) -> None:
+        # canonicalise numerators (a list this may modify) over den > 0
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        self.nums = tuple(nums)
+        self.den = den
         self.var = var
+        self._coeffs = None
+
+    @classmethod
+    def _build(cls, nums: list[int], den: int, var: str) -> "UniPoly":
+        p = cls.__new__(cls)
+        p._set(nums, den, var)
+        return p
 
     @classmethod
     def constant(cls, c: Scalar, var: str = "z") -> "UniPoly":
@@ -69,22 +99,39 @@ class UniPoly:
         return cls([0] * power + [c], var)
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, built once and cached."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(c, den) for c in self.nums)
+        return self._coeffs
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.nums) - 1 if self.nums else NEG_INFINITY
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self.nums):
             return self.coeffs[i]
         return Fraction(0)
 
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeffs[-1] if self.nums else Fraction(0)
 
     def constant_coefficient(self) -> Fraction:
         return self.coefficient(0)
+
+    def integer_coeffs(self) -> tuple[int, ...]:
+        """The coefficients as ints; raises ValueError unless all are
+        integers."""
+        if self.den != 1:
+            raise ValueError(
+                f"polynomial has non-integer coefficients (common "
+                f"denominator {self.den}): {self!r}")
+        return self.nums
 
     def _check_var(self, other: "UniPoly") -> None:
         if self.var != other.var:
@@ -93,11 +140,12 @@ class UniPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs and self.var == other.var
+            return (self.den == other.den and self.nums == other.nums
+                    and self.var == other.var)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.var))
+        return hash((self.nums, self.den, self.var))
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r}, var={self.var!r})"
@@ -108,18 +156,25 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
+        da, db = self.den, other.den
+        if da != db:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
+            da *= fa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out, self.var)
+        return UniPoly._build(out, da, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs], self.var)
+        return UniPoly._build([-c for c in self.nums], self.den, self.var)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -132,20 +187,22 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, UniPoly):
+            self._check_var(other)
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return UniPoly._build([], 1, self.var)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return UniPoly._build(out, self.den * other.den, self.var)
         if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs], self.var)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        self._check_var(other)
-        if not self.coeffs or not other.coeffs:
-            return UniPoly((), self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out, self.var)
+            s = other.numerator
+            return UniPoly._build([c * s for c in self.nums],
+                                  self.den * other.denominator, self.var)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -162,30 +219,46 @@ class UniPoly:
         return out
 
     def __call__(self, at: Scalar) -> Fraction:
-        """Evaluate by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * at + c
-        return acc
+        """Evaluate by Horner's rule, homogenised so the loop runs on ints."""
+        if not self.nums:
+            return Fraction(0)
+        p, q = at.numerator, at.denominator
+        acc, q_pow = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * p + c * q_pow
+            q_pow *= q
+        return Fraction(acc, self.den * (q_pow // q))
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "UniPoly":
         """Return p(a*var + b) with coefficients expanded exactly."""
-        lin = UniPoly([b, a], self.var)
-        acc = UniPoly((), self.var)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
+        if not self.nums:
+            return self
+        # a*var + b = (l0 + l1*var) / d with integers l0, l1, d
+        d = a.denominator * b.denominator
+        l0 = b.numerator * a.denominator
+        l1 = a.numerator * b.denominator
+        acc: list[int] = []
+        d_pow = 1
+        for c in reversed(self.nums):
+            nxt = [x * l0 for x in acc] + [0]
+            for j, x in enumerate(acc, 1):
+                nxt[j] += x * l1
+            nxt[0] += c * d_pow
+            acc = nxt
+            d_pow *= d
+        return UniPoly._build(acc, self.den * (d_pow // d), self.var)
 
     def div_rem(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Long division: self = q*d + r with deg r < deg d."""
         if not d:
             raise ZeroDivisionError("division by the zero polynomial")
         self._check_var(d)
-        dd = len(d.coeffs) - 1
+        dc = d.coeffs
+        dd = len(dc) - 1
         num = list(self.coeffs)
         if len(num) - 1 < dd:
             return UniPoly((), self.var), self
-        lead = d.coeffs[-1]
+        lead = dc[-1]
         q = [Fraction(0)] * (len(num) - dd)
         for i in range(len(num) - 1, dd - 1, -1):
             c = num[i]
@@ -194,7 +267,7 @@ class UniPoly:
             f = c / lead
             q[i - dd] = f
             for j in range(dd + 1):
-                num[i - dd + j] -= f * d.coeffs[j]
+                num[i - dd + j] -= f * dc[j]
         return UniPoly(q, self.var), UniPoly(num[:dd], self.var)
 
     def is_divisible_by(self, d: "UniPoly") -> bool:

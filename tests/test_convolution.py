@@ -333,3 +333,30 @@ def test_p_poly_symmetry_and_even_factor():
         assert p.compose_affine(-1, 1) == (-1) ** (n - 1) * p
         if n % 2 == 0:
             assert p.is_divisible_by(lin(2, -1))
+
+
+def _with_eulerian_entry(k, poly, fn):
+    # run fn with A_k(y) replaced in the process-wide cache, then restore it
+    from bernkit.specialfns import eulerian_cache
+    eulerian_cache.ensure(k)
+    original = eulerian_cache.polys[k]
+    eulerian_cache.polys[k] = poly
+    try:
+        return fn()
+    finally:
+        eulerian_cache.polys[k] = original
+
+
+def test_d_coeffs_rejects_non_integral():
+    before = d_coeffs(2, 2, 3)
+    third = UniPoly([0, Fraction(1, 3), 1], "y")
+    with pytest.raises(ValueError):
+        _with_eulerian_entry(2, third, lambda: d_coeffs(2, 2, 3))
+    assert d_coeffs(2, 2, 3) == before
+
+
+def test_a_coeff_list_rejects_non_integral():
+    half = UniPoly([0, 1, Fraction(1, 2), 1], "y")
+    with pytest.raises(ValueError):
+        _with_eulerian_entry(3, half, lambda: a_coeff_list(3, 2))
+    assert a_coeff_list(3, 2) == (1, 8, 18, 8, 1)

@@ -1,0 +1,188 @@
+"""Differential test of the UniPoly kernel against a slow Fraction reference.
+
+All three routes to S[n,k](z) run on the same base ring, so a bug there would
+be common to all of them and route agreement could not show it.  RefPoly
+below is the guard: a plain list of Fractions that shares no code with
+bernkit.polycore.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from bernkit.polycore import NEG_INFINITY, UniPoly  # noqa: E402
+
+
+class RefPoly:
+    """Dense polynomial over a list of Fractions, trailing zeros stripped."""
+
+    def __init__(self, cs):
+        self.cs = [Fraction(c) for c in cs]
+        while self.cs and self.cs[-1] == 0:
+            self.cs.pop()
+
+    def c(self, i):
+        return self.cs[i] if i < len(self.cs) else Fraction(0)
+
+    def __add__(self, o):
+        n = max(len(self.cs), len(o.cs))
+        return RefPoly([self.c(i) + o.c(i) for i in range(n)])
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.cs])
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        if not isinstance(o, RefPoly):
+            return RefPoly([c * o for c in self.cs])
+        out = [Fraction(0)] * (len(self.cs) + len(o.cs))
+        for i, a in enumerate(self.cs):
+            for j, b in enumerate(o.cs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    def __pow__(self, n):
+        out = RefPoly([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __call__(self, t):
+        acc = Fraction(0)
+        for c in reversed(self.cs):
+            acc = acc * t + c
+        return acc
+
+    def compose_affine(self, a, b):
+        acc = RefPoly([])
+        for c in reversed(self.cs):
+            acc = acc * RefPoly([b, a]) + RefPoly([c])
+        return acc
+
+
+def same(p: UniPoly, r: RefPoly) -> bool:
+    return list(p.coeffs) == r.cs
+
+
+BIG = 2 ** 260
+small_int = st.integers(-6, 6)
+big_int = st.integers(-BIG, BIG)
+scalars = st.one_of(
+    st.just(0), small_int, big_int,
+    st.builds(Fraction, small_int, st.integers(1, 12)),
+    st.builds(Fraction, big_int, st.integers(1, BIG)))
+coeff_lists = st.lists(scalars, max_size=8)
+short_lists = st.lists(scalars, max_size=4)
+
+
+def assert_canonical(p: UniPoly) -> None:
+    assert p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    if p.nums:
+        assert p.nums[-1] != 0
+        assert math.gcd(p.den, *p.nums) == 1
+    else:
+        assert p.den == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_ring_operations_match_reference(a, b):
+    p, q = UniPoly(a), UniPoly(b)
+    ra, rb = RefPoly(a), RefPoly(b)
+    for got, want in ((p, ra), (p + q, ra + rb), (p - q, ra - rb),
+                      (-p, -ra), (p * q, ra * rb)):
+        assert_canonical(got)
+        assert same(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, scalars)
+def test_scalar_operations_match_reference(a, s):
+    p, r = UniPoly(a), RefPoly(a)
+    for got, want in ((p * s, r * s), (s * p, r * s),
+                      (p + s, r + RefPoly([s])), (p - s, r - RefPoly([s])),
+                      (s - p, RefPoly([s]) - r)):
+        assert_canonical(got)
+        assert same(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_lists, st.integers(0, 5))
+def test_power_matches_reference(a, n):
+    got = UniPoly(a) ** n
+    assert_canonical(got)
+    assert same(got, RefPoly(a) ** n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, scalars)
+def test_evaluation_matches_reference(a, t):
+    value = UniPoly(a)(t)
+    assert type(value) is Fraction
+    assert value == RefPoly(a)(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, scalars, scalars)
+def test_compose_affine_matches_reference(a, s, t):
+    got = UniPoly(a).compose_affine(s, t)
+    assert_canonical(got)
+    assert same(got, RefPoly(a).compose_affine(s, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, short_lists)
+def test_div_rem_reconstructs_dividend(a, b):
+    p, d = UniPoly(a), UniPoly(b)
+    if not d:
+        with pytest.raises(ZeroDivisionError):
+            p.div_rem(d)
+        return
+    q, r = p.div_rem(d)
+    assert_canonical(q)
+    assert_canonical(r)
+    rebuilt = RefPoly(q.coeffs) * RefPoly(d.coeffs) + RefPoly(r.coeffs)
+    assert rebuilt.cs == RefPoly(a).cs
+    assert r.degree < d.degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, st.builds(Fraction, st.integers(1, BIG),
+                              st.integers(1, BIG)))
+def test_equal_polys_from_scaled_inputs_hash_equal(a, s):
+    p = UniPoly(a)
+    scaled = UniPoly([c * s for c in a]) * (1 / s)
+    padded = UniPoly(list(a) + [0, Fraction(0)])
+    for other in (scaled, padded, p + p - p):
+        assert other == p
+        assert hash(other) == hash(p)
+        assert other.nums == p.nums and other.den == p.den
+
+
+def test_trailing_zeros_and_zero_polynomial():
+    p = UniPoly([Fraction(1, 2), 3, 0, Fraction(0)])
+    assert p.coeffs == (Fraction(1, 2), Fraction(3))
+    assert p.degree == 1
+    for zero in (UniPoly(), UniPoly([0, 0, Fraction(0, 7)]),
+                 p - p, p * 0, p * UniPoly()):
+        assert zero.degree == NEG_INFINITY
+        assert zero.coeffs == ()
+        assert (zero.nums, zero.den) == ((), 1)
+        assert zero == UniPoly((), "z")
+        assert hash(zero) == hash(UniPoly((), "z"))
+
+
+def test_mixing_variables_raises():
+    p, q = UniPoly([1, Fraction(1, 3)], "z"), UniPoly([2, 1], "y")
+    for op in (lambda: p + q, lambda: p - q, lambda: p * q,
+               lambda: p.div_rem(q)):
+        with pytest.raises(ValueError):
+            op()

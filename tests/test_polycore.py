@@ -143,3 +143,11 @@ def test_random_workload_keeps_rationals_reduced():
         pool[rng.randrange(len(pool))] = out
     for p in pool:
         _assert_reduced(p)
+
+
+def test_integer_coeffs():
+    assert P(0, -3, 5).integer_coeffs() == (0, -3, 5)
+    assert P(Fraction(4, 2), 1).integer_coeffs() == (2, 1)
+    assert UniPoly((), "z").integer_coeffs() == ()
+    with pytest.raises(ValueError):
+        P(1, Fraction(1, 3)).integer_coeffs()

@@ -86,3 +86,10 @@ def test_seq_tables_and_checks():
 
     with pytest.raises(ValueError):
         seq_a(0)
+
+
+def test_a_closed_even_raises_on_non_integer(monkeypatch):
+    from bernkit import convolution
+    monkeypatch.setattr(convolution, "binomial", lambda n, m: 1)
+    with pytest.raises(ValueError):
+        a_closed_even(2)       # 2^4 / 3 is not an integer

@@ -16,7 +16,8 @@ from .convolution import (DCoeffTable, SeqTable, SnkResult,
                           c3_sequence, c_sequence, coeff_z_closed,
                           coeff_z_formula, coeff_z_thm8, d_coeffs,
                           degree_check, lemma5_coeffs, multisum_poly,
-                          multisum_poly_multinomial, p_poly, run_checks,
+                          multisum_poly_multinomial, multisum_power, p_poly,
+                          run_checks,
                           s_all_routes, s_direct, s_eulerian, s_poly,
                           s_series, seq_a,
                           seq_c, seq_c3, seq_checks, suite_checks,

@@ -188,7 +188,8 @@ def cmd_compute(args) -> int:
                      "need k >= 1, nu >= 0, n >= 1")
         route = args.route or "enumeration"
         funcs = {"enumeration": conv.multisum_poly,
-                 "multinomial": conv.multisum_poly_multinomial}
+                 "multinomial": conv.multisum_poly_multinomial,
+                 "power": _multisum_from_power}
         params = {"k": args.k, "nu": args.nu, "n": args.n}
         if route == "all":
             routes = {name: f(args.k, args.nu, args.n)
@@ -197,7 +198,8 @@ def cmd_compute(args) -> int:
                                next(iter(routes.values())), fmt, routes)
             return 0
         if route not in funcs:
-            raise UsageError("route must be enumeration, multinomial or all")
+            raise UsageError(
+                "route must be enumeration, multinomial, power or all")
         _print_poly_result("multisum", params,
                            funcs[route](args.k, args.nu, args.n), fmt)
         return 0
@@ -269,6 +271,11 @@ def cmd_compute(args) -> int:
         return 0
 
     raise UsageError(f"unknown compute target {target!r}")
+
+
+def _multisum_from_power(k: int, nu: int, n: int) -> UniPoly:
+    power = conv.multisum_power(k, n)
+    return power[nu] if nu < len(power) else UniPoly((), "y")
 
 
 def _f_coefficient(route: str, k: int, m: int) -> UniPoly:

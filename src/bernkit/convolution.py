@@ -84,17 +84,18 @@ def s_eulerian(n: int, k: int) -> UniPoly:
 
     (1/(k! M!)) sum_{nu=0}^{mk} z^nu sum_{j=0}^{mk} d_j^{(mk-nu)}
                 prod_{r=1}^{M} (m z + j - r),
-    with m = n+1 and M = m(k+1) - 1.
+    with m = n+1 and M = m(k+1) - 1.  Every d-row is read from one
+    multisum_power(k, m).
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     m = n + 1
     length = m * (k + 1) - 1
-    tables = {nu: d_coeffs(m, k, nu).d for nu in range(m * k + 1)}
+    power = multisum_power(k, m)
     products = [falling_product(m, j, length) for j in range(m * k + 1)]
     total = UniPoly((), "z")
     for nu in range(m * k + 1):
-        d = tables[m * k - nu]
+        d = _d_row(power, m * k - nu)
         inner = UniPoly((), "z")
         for j, dj in enumerate(d):
             if dj:
@@ -186,6 +187,23 @@ def _multiplicity_vectors(k, n, nu):
     yield from rec(0, n, nu)
 
 
+def multisum_power(k: int, n: int) -> list[UniPoly]:
+    """[S^{(n)}_{k,0}(y), ..., S^{(n)}_{k,nk}(y)] at once: they are the
+    x-coefficients of (sum_{j=0}^{k} C(k,j) A_j(y) x^j)^n, built by n-fold
+    multiplication of x-polynomials whose coefficients lie in Z[y]."""
+    if k < 1 or n < 1:
+        raise ValueError("need k >= 1 and n >= 1")
+    base = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
+    power = base
+    for _ in range(n - 1):
+        out = [UniPoly((), "y")] * (len(power) + k)
+        for i, p in enumerate(power):
+            for j, b in enumerate(base, i):
+                out[j] = out[j] + p * b
+        power = out
+    return power
+
+
 def lemma5_coeffs(k: int, nu: int, n: int) -> tuple[int, int, int]:
     """Closed forms for the y^1, y^2, and leading coefficients of
     S^{(n)}_{k,nu}(y), for nu >= 1 (the y^2 value is meaningful for nu >= 2):
@@ -211,17 +229,18 @@ class DCoeffTable:
     d: tuple[int, ...]
 
 
+def _d_row(power: list[UniPoly], nu: int) -> tuple[int, ...]:
+    # coefficients of (1-y)^{nk-nu} * power[nu], padded to length nk+1,
+    # where power = multisum_power(k, n) has nk+1 entries
+    size = len(power)
+    poly = UniPoly([1, -1], "y") ** (size - 1 - nu) * power[nu]
+    return (poly.integer_coeffs() + (0,) * size)[:size]
+
+
 def d_coeffs(n: int, k: int, nu: int) -> DCoeffTable:
     if not 0 <= nu <= n * k:
         raise ValueError("need 0 <= nu <= n*k")
-    if nu == 0:
-        poly = UniPoly([1, -1], "y") ** (n * k)
-    else:
-        poly = (UniPoly([1, -1], "y") ** (n * k - nu)
-                * multisum_poly(k, nu, n))
-    size = n * k + 1
-    d = (poly.integer_coeffs() + (0,) * size)[:size]
-    return DCoeffTable(n, k, nu, d)
+    return DCoeffTable(n, k, nu, _d_row(multisum_power(k, n), nu))
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +769,8 @@ def degree_check(n: int, k: int, route: str = "series") -> VerificationReport:
 # verification sweeps (used by the CLI and the acceptance tests)
 # ---------------------------------------------------------------------------
 
-Check = Callable[[], VerificationReport]
+#: a check yields one report, or a list of reports spliced in its place
+Check = Callable[[], Union[VerificationReport, list[VerificationReport]]]
 
 
 def checks_routes(n_max: int, k_max: int) -> list[Check]:
@@ -809,12 +829,20 @@ def checks_polylog(k_max: int, order: int = 20) -> list[Check]:
             for k in range(1, k_max + 1)]
 
 
-def checks_bernoulli_cache(min_top: int) -> list[Check]:
-    # cover every index the sweep itself will cache, plus anything already
-    # published (so an injected fault anywhere in the cache is reachable)
+def checks_bernoulli_cache(top: int) -> list[Check]:
+    # B_0..B_top are reported, so the count depends on the suite parameters
+    # only; the last check also verifies every entry published above top by
+    # the time it runs and reports just the failures among them, so an
+    # injected fault anywhere in the cache still fails the run
+    return ([lambda m=m: verify_bernoulli_cache(m) for m in range(top + 1)]
+            + [lambda: _failing_bernoulli_cache_entries(top)])
+
+
+def _failing_bernoulli_cache_entries(top: int) -> list[VerificationReport]:
     from .specialfns import bernoulli_cache
-    top = max(len(bernoulli_cache.polys) - 1, min_top)
-    return [lambda m=m: verify_bernoulli_cache(m) for m in range(top + 1)]
+    reports = (verify_bernoulli_cache(m)
+               for m in range(top + 1, len(bernoulli_cache.polys)))
+    return [r for r in reports if not r.passed]
 
 
 SUITES = ("routes", "thm1", "thm6", "corollary", "lemma4", "lemma5",
@@ -855,5 +883,10 @@ def run_checks(checks: list[Check],
     if parallel:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor() as pool:
-            return list(pool.map(lambda c: c(), checks))
-    return [c() for c in checks]
+            results = list(pool.map(lambda c: c(), checks))
+    else:
+        results = [c() for c in checks]
+    reports: list[VerificationReport] = []
+    for r in results:
+        reports.extend(r if isinstance(r, list) else [r])
+    return reports

@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
+import bernkit
 from bernkit.cli import (fmt_rational, main, parse_rational, poly_from_document,
                          poly_latex, poly_plain)
 from bernkit.convolution import p_poly, s_direct
@@ -66,6 +68,7 @@ def test_compute_multisum(capsys):
         ["compute", "multisum", "--k", "2", "--nu", "1", "--n", "3",
          "--route", "all"], capsys)
     assert code == 0 and doc["agreement"] is True
+    assert list(doc["routes"]) == ["enumeration", "multinomial", "power"]
 
 
 def test_compute_f_coeff(capsys):
@@ -192,6 +195,29 @@ def test_verify_all_default_output_is_stable(capsys):
     assert first == second
 
 
+def test_verify_all_output_ignores_cache_history(capsys):
+    from bernkit.specialfns import bernoulli_cache
+    code, before = run(["verify", "all"], capsys)
+    assert code == 0
+    bernoulli_poly(40)
+    code, after = run(["verify", "all"], capsys)
+    assert code == 0
+    assert after == before
+    # B_30 lies above the reported range, yet a fault there still fails
+    original = bernoulli_cache.polys[30]
+    broken = list(original.coeffs)
+    broken[0] += 1
+    bernoulli_cache.polys[30] = UniPoly(broken, "z")
+    try:
+        code, out = run(["verify", "all"], capsys)
+    finally:
+        bernoulli_cache.polys[30] = original
+    assert code == 1
+    fail_lines = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fail_lines) == 1
+    assert fail_lines[0].startswith("FAIL bernoulli-cache m=30 ::")
+
+
 def test_verify_failure_json_carries_witness(capsys):
     from bernkit.specialfns import bernoulli_cache
     bernoulli_cache.ensure(4)
@@ -241,10 +267,13 @@ def test_verify_latex(capsys):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the same bernkit as this process, installed or not
+    src = os.path.dirname(os.path.dirname(bernkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bernkit.cli", "verify", "cor10",
          "--n-max", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
 

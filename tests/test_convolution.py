@@ -6,7 +6,8 @@ from bernkit.convolution import (a_coeff_list, a_jkn, a_jkn_from_u,
                                  a_jkn_multinomial, coeff_z_closed,
                                  coeff_z_formula, coeff_z_thm8, d_coeffs,
                                  degree_check, lemma5_coeffs, multisum_poly,
-                                 multisum_poly_multinomial, p_poly, s_direct,
+                                 multisum_poly_multinomial, multisum_power,
+                                 p_poly, s_direct,
                                  s_eulerian, s_series, theorem1_divisor,
                                  u_from_a_series, u_nu, verify_corollary,
                                  verify_routes, verify_thm1, verify_thm6,
@@ -122,6 +123,47 @@ def test_multisum_two_computations_agree():
             for nu in range(n * k + 1):
                 assert (multisum_poly(k, nu, n)
                         == multisum_poly_multinomial(k, nu, n))
+
+
+def test_multisum_power_matches_both_computations():
+    for k in range(1, 5):
+        for n in range(1, 6):
+            power = multisum_power(k, n)
+            assert len(power) == n * k + 1
+            for nu, p in enumerate(power):
+                assert p == multisum_poly(k, nu, n), (k, nu, n)
+                assert p == multisum_poly_multinomial(k, nu, n), (k, nu, n)
+
+
+@pytest.mark.parametrize("n,k", [(6, 5), (8, 2), (10, 4)])
+def test_eulerian_matches_series_at_larger_points(n, k):
+    assert s_eulerian(n, k) == s_series(n, k)
+
+
+def test_eulerian_route_reads_no_enumeration_or_bernoulli_data(monkeypatch):
+    import bernkit.convolution as conv
+    import bernkit.specialfns as sf
+    expected_s = s_series(4, 3)
+    expected_d = (UniPoly([1, -1], "y") ** (4 * 3 - 5)
+                  * multisum_poly(3, 5, 4)).integer_coeffs()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the eulerian route read a forbidden source")
+
+    for module, name in [(conv, "multisum_poly"),
+                         (conv, "_sum_over_compositions"),
+                         (conv, "bernoulli_poly"), (conv, "build_F_direct"),
+                         (sf, "bernoulli_poly"), (sf, "bernoulli_number"),
+                         (sf.BernoulliCache, "ensure")]:
+        monkeypatch.setattr(module, name, forbidden)
+    calls = []
+    power = conv.multisum_power
+    monkeypatch.setattr(conv, "multisum_power",
+                        lambda k, n: calls.append((k, n)) or power(k, n))
+    assert s_eulerian(4, 3) == expected_s
+    assert calls == [(3, 5)]  # one bivariate power per S[n,k]
+    d = d_coeffs(4, 3, 5).d
+    assert d == expected_d + (0,) * (len(d) - len(expected_d))
 
 
 def test_lemma5_closed_coeffs():

@@ -6,20 +6,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from bernkit.specialfns import (bernoulli_cache, bernoulli_number,  # noqa: E402
-                                bernoulli_poly)
+from bernkit.specialfns import bernoulli_number, bernoulli_poly  # noqa: E402
 
 M_MAX = 40
-
-
-@pytest.fixture(autouse=True)
-def restore_cache_length():
-    # `verify all` sizes its cache sweep from the live cache length, so the
-    # growth to B_40 is undone for whatever runs later in the process
-    size = len(bernoulli_cache.polys)
-    yield
-    del bernoulli_cache.numbers[size:]
-    del bernoulli_cache.polys[size:]
 
 
 def to_fraction(r) -> Fraction:

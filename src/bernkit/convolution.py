@@ -92,7 +92,15 @@ def s_eulerian(n: int, k: int) -> UniPoly:
     m = n + 1
     length = m * (k + 1) - 1
     power = multisum_power(k, m)
-    products = [falling_product(m, j, length) for j in range(m * k + 1)]
+    # products[j] = prod_{r=1}^{M} (m z + j - r); the next one trades the
+    # factor (m z + j - M) for (m z + j), an exact division and a multiply
+    products = [falling_product(m, 0, length)]
+    for j in range(m * k):
+        q, r = products[j].div_rem(UniPoly([j - length, m], "z"))
+        if r:
+            raise ArithmeticError(
+                f"falling product {j} not divisible by its factor")
+        products.append(q * UniPoly([j, m], "z"))
     total = UniPoly((), "z")
     for nu in range(m * k + 1):
         d = _d_row(power, m * k - nu)
@@ -405,16 +413,19 @@ def a_sequence(count: int) -> list[int]:
     """a_0..a_{count-1} from the cubic-equation recurrence
 
     a_n = [n=0] + 3 sum_{i+j=n-1} a_i a_j - 2 sum_{i+j+l=n-2} a_i a_j a_l.
+
+    The running square sq[m] = sum_{i+j=m} a_i a_j is carried along, so the
+    cubic sum is sum_l a_l sq[n-2-l] and each term costs O(n).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     a: list[int] = []
+    sq: list[int] = []
     for n in range(count):
-        v = 1 if n == 0 else 0
-        v += 3 * sum(a[i] * a[n - 1 - i] for i in range(n))
-        v -= 2 * sum(a[i] * a[j] * a[n - 2 - i - j]
-                     for i in range(n - 1) for j in range(n - 1 - i))
+        v = 1 if n == 0 else 3 * sq[n - 1]
+        v -= 2 * sum(a[l] * sq[n - 2 - l] for l in range(n - 1))
         a.append(v)
+        sq.append(sum(a[i] * a[n - i] for i in range(n + 1)))
     return a
 
 
@@ -434,23 +445,22 @@ def c_sequence(count: int) -> list[Fraction]:
             for n, a_n in enumerate(a_sequence(count))]
 
 
-def _a_j_k3(n1: int, j: int) -> int:
-    # [y^j] (y^2 + 4y + 1)^{n1} via the binomial double sum
-    return sum(binomial(n1, i) * binomial(n1 - i, j - 2 * i)
-               * 4 ** (j - 2 * i)
-               for i in range(j // 2 + 1))
-
-
 def c3_sequence(count: int) -> list[Fraction]:
     """z-coefficients of S[n,3](z) for n = 1..count, via the alternating-sum
-    formula with the binomial closed form for the (A_3(y)/y)-power
-    coefficients."""
+    formula, where the (A_3(y)/y)^{n+1} = (1+4y+y^2)^{n+1} coefficients are
+    carried from one n to the next by one multiplication by 1+4y+y^2."""
     if count < 1:
         raise ValueError("count must be >= 1")
     out = []
+    row = [1, 4, 1]
     for n in range(1, count + 1):
         n1 = n + 1
-        acc = sum((-1) ** j * _a_j_k3(n1, j) * factorial(n + j)
+        nxt = row + [0, 0]
+        for j, c in enumerate(row):
+            nxt[j + 1] += 4 * c
+            nxt[j + 2] += c
+        row = nxt
+        acc = sum((-1) ** j * row[j] * factorial(n + j)
                   * factorial(3 * n1 - 1 - j)
                   for j in range(2 * n1 + 1))
         out.append(Fraction((-1) ** n * n1 * acc,

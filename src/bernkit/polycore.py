@@ -249,26 +249,42 @@ class UniPoly:
         return UniPoly._build(acc, self.den * (d_pow // d), self.var)
 
     def div_rem(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Long division: self = q*d + r with deg r < deg d."""
+        """Long division: self = q*d + r with deg r < deg d.
+
+        Runs on the integer numerators.  When the leading numerator of d
+        does not divide the next coefficient, the working remainder and the
+        quotient so far are scaled so that it does, and the scale joins the
+        common denominators of q and r.
+        """
         if not d:
             raise ZeroDivisionError("division by the zero polynomial")
         self._check_var(d)
-        dc = d.coeffs
-        dd = len(dc) - 1
-        num = list(self.coeffs)
+        dn = d.nums
+        dd = len(dn) - 1
+        num = list(self.nums)
         if len(num) - 1 < dd:
             return UniPoly((), self.var), self
-        lead = dc[-1]
-        q = [Fraction(0)] * (len(num) - dd)
+        lead = dn[-1]
+        q = [0] * (len(num) - dd)
+        scale = 1
+        # invariant: scale * self.nums == q * dn + num, as integer polynomials
         for i in range(len(num) - 1, dd - 1, -1):
             c = num[i]
             if not c:
                 continue
-            f = c / lead
+            s = abs(lead) // math.gcd(c, lead)
+            if s != 1:
+                num = [x * s for x in num[:i + 1]]
+                q = [x * s for x in q]
+                scale *= s
+                c *= s
+            f = c // lead
             q[i - dd] = f
-            for j in range(dd + 1):
-                num[i - dd + j] -= f * dc[j]
-        return UniPoly(q, self.var), UniPoly(num[:dd], self.var)
+            for j, x in enumerate(dn, i - dd):
+                num[j] -= f * x
+        den = scale * self.den
+        return (UniPoly._build([x * d.den for x in q], den, self.var),
+                UniPoly._build(num[:dd], den, self.var))
 
     def is_divisible_by(self, d: "UniPoly") -> bool:
         return not self.div_rem(d)[1]

@@ -104,17 +104,53 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise ValueError("negative series power")
-        out = TruncSeries.one(self.order, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def __pow__(self, a: int) -> "TruncSeries":
+        """self**a by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+        Write self = x^v H(x) with H_0 != 0.  Then G = H^a has G_0 = H_0^a
+        and m H_0 G_m = sum_{j=1}^{m} ((a+1) j - m) H_j G_{m-j}, so each
+        coefficient costs one pass over the nonzero H_j, and self**a is
+        x^{va} G.  The division by H_0 is by a scalar when H_0 is a constant
+        and otherwise exact, since G_m is a polynomial; its remainder is
+        checked.  A negative a needs v = 0 and a nonzero constant H_0 (a unit
+        of Q[z]); a = -1 is the multiplicative inverse.
+        """
+        if a == 0:
+            return TruncSeries.one(self.order, self.var)
+        v = next((i for i, c in enumerate(self.coeffs) if c), None)
+        if a < 0:
+            if v != 0:
+                raise ValueError(
+                    "series with zero constant term has no inverse")
+            if self.coeffs[0].degree != 0:
+                raise ValueError(
+                    "constant coefficient is not a unit (degree > 0)")
+        if v is None or v * a > self.order:
+            return TruncSeries(self.order, (), self.var)
+        h = self.coeffs[v:]
+        h0 = h[0]
+        top = self.order - v * a
+        support = [j for j in range(1, top + 1) if h[j]]
+        scalar = h0.degree == 0
+        g = [h0 ** a if a > 0 else
+             UniPoly.constant(h0.coefficient(0) ** a, self.var)]
+        for m in range(1, top + 1):
+            acc = UniPoly((), self.var)
+            for j in support:
+                if j > m:
+                    break
+                if g[m - j]:
+                    acc = acc + h[j] * g[m - j] * ((a + 1) * j - m)
+            if scalar:
+                g.append(acc * (1 / (m * h0.coefficient(0))))
+                continue
+            q, r = (acc * Fraction(1, m)).div_rem(h0)
+            if r:
+                raise ArithmeticError(
+                    f"inexact division by {h0!r} in coefficient {m}")
+            g.append(q)
+        return TruncSeries(
+            self.order, [UniPoly((), self.var)] * (v * a) + g, self.var)
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; the constant coefficient must be a unit.
@@ -123,21 +159,7 @@ class TruncSeries:
         whose constant coefficient has positive degree (or is zero) has no
         inverse with polynomial coefficients.
         """
-        c0 = self.coeffs[0]
-        if not c0:
-            raise ValueError("series with zero constant term has no inverse")
-        if c0.degree != 0:
-            raise ValueError(
-                "constant coefficient is not a unit (degree > 0)")
-        u = Fraction(1) / c0.coefficient(0)
-        inv = [UniPoly.constant(u, self.var)]
-        for m in range(1, self.order + 1):
-            acc = UniPoly((), self.var)
-            for j in range(1, m + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * inv[m - j]
-            inv.append(acc * (-u))
-        return TruncSeries(self.order, inv, self.var)
+        return self ** -1
 
 
 def poly_at_series(p: UniPoly, s: TruncSeries) -> TruncSeries:
@@ -171,13 +193,13 @@ def one_minus_exp_x(order: int, var: str = "z") -> TruncSeries:
 
 
 def x_over_expm1_pow(r: int, order: int, var: str = "z") -> TruncSeries:
-    """(x/(e^x - 1))^r, as the r-th power of the inverse of (e^x - 1)/x."""
+    """(x/(e^x - 1))^r, as the (-r)-th power of (e^x - 1)/x."""
     if r < 1:
         raise ValueError("r must be >= 1")
     expm1_over_x = TruncSeries(
         order, [UniPoly.constant(Fraction(1, factorial(m + 1)), var)
                 for m in range(order + 1)], var)
-    return expm1_over_x.inverse() ** r
+    return expm1_over_x ** -r
 
 
 def build_F_direct(k: int, order: int) -> TruncSeries:
@@ -214,17 +236,29 @@ def build_F_eulerian(k: int, order: int) -> TruncSeries:
     """F_k(x,z) rebuilt from Eulerian polynomials:
 
     (x/(e^x-1))^{k+1} e^{xz} sum_{j=0}^{k} (1-e^x)^j A_{k-j}(e^x)/(k-j)! * z^j/j!
+
+    (1-e^x)^j is carried from one j to the next, and each A_{k-j}(e^x) is a
+    linear combination of the powers e^{ix}, i = 0..k, built once.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is covered by the "
                          "direct construction)")
     base = x_over_expm1_pow(k + 1, order) * exp_zx(order)
-    ex = exp_x(order)
+    inv_facts = [Fraction(1, factorial(m)) for m in range(order + 1)]
+    exp_ix = [TruncSeries(order, [UniPoly.constant(i ** m * f)
+                                  for m, f in enumerate(inv_facts)])
+              for i in range(k + 1)]
     one_minus = one_minus_exp_x(order)
+    carried = TruncSeries.one(order)
     acc = TruncSeries(order, (), "z")
     for j in range(k + 1):
-        term = (one_minus ** j) * poly_at_series(eulerian_poly(k - j), ex)
-        term = term * UniPoly.monomial(
+        if j:
+            carried = carried * one_minus
+        eulerian_at_exp = TruncSeries(order, (), "z")
+        for i, c in enumerate(eulerian_poly(k - j).coeffs):
+            if c:
+                eulerian_at_exp = eulerian_at_exp + exp_ix[i] * c
+        term = carried * eulerian_at_exp * UniPoly.monomial(
             Fraction(1, factorial(j) * factorial(k - j)), j, "z")
         acc = acc + term
     return base * acc

@@ -6,6 +6,34 @@ from bernkit.convolution import (a_closed_even, a_sequence,
                                  c3_recurrence_residual, c3_sequence,
                                  c_sequence, coeff_z_thm8, seq_a, seq_c,
                                  seq_c3, seq_checks)
+from bernkit.polycore import binomial, factorial
+
+
+def a_sequence_cubic(count):
+    # the recurrence summed afresh for every n, O(n^3) in all
+    a = []
+    for n in range(count):
+        v = 1 if n == 0 else 0
+        v += 3 * sum(a[i] * a[n - 1 - i] for i in range(n))
+        v -= 2 * sum(a[i] * a[j] * a[n - 2 - i - j]
+                     for i in range(n - 1) for j in range(n - 1 - i))
+        a.append(v)
+    return a
+
+
+def c3_sequence_double_sum(count):
+    # [y^j] (y^2 + 4y + 1)^{n+1} by the binomial double sum for every j
+    def a_j(n1, j):
+        return sum(binomial(n1, i) * binomial(n1 - i, j - 2 * i)
+                   * 4 ** (j - 2 * i) for i in range(j // 2 + 1))
+
+    out = []
+    for n in range(1, count + 1):
+        n1 = n + 1
+        acc = sum((-1) ** j * a_j(n1, j) * factorial(n + j)
+                  * factorial(3 * n1 - 1 - j) for j in range(2 * n1 + 1))
+        out.append(Fraction((-1) ** n * n1 * acc, 6 * factorial(4 * n1 - 1)))
+    return out
 
 
 def test_a_first_values():
@@ -20,6 +48,16 @@ def test_a_even_closed_form():
         assert a[n] == a_closed_even(n)
     with pytest.raises(ValueError):
         a_closed_even(3)
+
+
+def test_a_matches_cubic_reference():
+    assert a_sequence(60) == a_sequence_cubic(60)
+
+
+def test_a_even_closed_form_through_300():
+    a = a_sequence(300)
+    for n in range(0, 300, 2):
+        assert a[n] == a_closed_even(n)
 
 
 def test_c_first_values():
@@ -45,6 +83,16 @@ def test_c_ties_to_z_coefficient():
 def test_c3_first_values():
     assert c3_sequence(4) == [Fraction(-1, 126), Fraction(-1, 1155),
                               Fraction(-1, 6930), Fraction(-10, 513513)]
+
+
+def test_c3_matches_double_sum_reference():
+    assert c3_sequence(40) == c3_sequence_double_sum(40)
+
+
+def test_c3_matches_formula_through_8():
+    vals = c3_sequence(8)
+    for n in range(1, 9):
+        assert vals[n - 1] == coeff_z_thm8(n, 3)
 
 
 def test_c3_recurrence_explicit_at_n1():

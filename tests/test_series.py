@@ -36,6 +36,44 @@ def test_pow_matches_repeated_mul():
             acc = acc * a
 
 
+def test_pow_matches_repeated_mul_by_valuation():
+    z = UniPoly.variable("z")
+    zero = UniPoly((), "z")
+    cases = [
+        [1, z, 3 * z - 2, 0, z * z],                     # unit H_0
+        [0, 2, z, Fraction(1, 3), 0, z - 1],             # valuation 1
+        [0, 0, Fraction(-1, 2), z, 0, 1],                # valuation 2
+        [],                                              # zero series
+        [0, 0, 0, 0, 0, z],                              # v*a > order
+        [1 + z, z, 0, 2 - z, z * z],                     # H_0 = 1 + z
+        [0, 3 * z * z - 1, 1, z, 0, 5],                  # H_0 = 3z^2 - 1
+    ]
+    for values in cases:
+        for order in (0, 3, 7):
+            a = TruncSeries(order, [c if isinstance(c, UniPoly)
+                                    else UniPoly.constant(c) for c in values])
+            acc = TruncSeries.one(order)
+            for n in range(7):
+                assert a ** n == acc, (values, order, n)
+                acc = acc * a
+    assert TruncSeries(4, [zero, zero, z]) ** 3 == TruncSeries(4, ())
+
+
+def test_negative_pow_is_power_of_inverse():
+    a = TruncSeries(8, [UniPoly.constant(Fraction(-2, 3)), UniPoly([1, 2]),
+                        UniPoly.constant(0), UniPoly([0, 0, 1])])
+    inv = a.inverse()
+    assert a * inv == TruncSeries.one(8)
+    acc = TruncSeries.one(8)
+    for n in range(5):
+        assert a ** -n == acc
+        acc = acc * inv
+    for bad in (one_minus_exp_x(4), TruncSeries(3, [UniPoly([1, 1])]),
+                TruncSeries(3, ())):
+        with pytest.raises(ValueError):
+            bad ** -2
+
+
 def test_mul_commutes_and_associates():
     rng = random.Random(11)
     for _ in range(10):

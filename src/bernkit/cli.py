@@ -3,8 +3,10 @@
     bernkit <compute|table|seq|verify> [subargs] [--format plain|json|latex]
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-error.  Every rational is printed as an exact "num/den" string; nothing is
-ever rendered through floating point.
+error, 3 internal error (any other uncaught exception; its traceback goes to
+stderr).  A check that raises is a verification failure, not an internal
+error: it becomes a FAIL report.  Every rational is printed as an exact
+"num/den" string; nothing is ever rendered through floating point.
 """
 
 from __future__ import annotations
@@ -394,8 +396,7 @@ def fmt_latex_rational(v) -> str:
 def cmd_verify(args) -> int:
     _check_range(args.n_max >= 1 and args.k_max >= 1,
                  "need --n-max >= 1 and --k-max >= 1")
-    checks = conv.suite_checks(args.suite, args.n_max, args.k_max)
-    reports = conv.run_checks(checks, parallel=args.parallel)
+    reports = conv.run_suite(args.suite, args.n_max, args.k_max)
     if args.sorted:
         reports = sorted(reports, key=lambda r: (r.statement, r.params))
     ok = all(r.passed for r in reports)
@@ -465,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", choices=list(conv.SUITES) + ["all"])
     pv.add_argument("--n-max", dest="n_max", type=int, default=4)
     pv.add_argument("--k-max", dest="k_max", type=int, default=3)
-    pv.add_argument("--parallel", action="store_true")
     pv.add_argument("--sorted", action="store_true")
     pv.add_argument("--format", dest="fmt", default="plain",
                     choices=["plain", "json", "latex"])
@@ -484,6 +484,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"bernkit: error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only on this path, to keep start-up lean
+        traceback.print_exc()
+        return 3
 
 
 def console_main() -> None:

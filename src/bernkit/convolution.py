@@ -19,7 +19,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from itertools import product
+from typing import Callable, Iterable, Optional, Union
 
 from .polycore import (UniPoly, binomial, factorial, falling_product,
                        multinomial)
@@ -779,124 +780,105 @@ def degree_check(n: int, k: int, route: str = "series") -> VerificationReport:
 # verification sweeps (used by the CLI and the acceptance tests)
 # ---------------------------------------------------------------------------
 
-#: a check yields one report, or a list of reports spliced in its place
-Check = Callable[[], Union[VerificationReport, list[VerificationReport]]]
+@dataclass(frozen=True)
+class Check:
+    """One statement at one parameter tuple.  The values in `params` are the
+    positional arguments of the statement's verifier, whose report carries
+    the same params."""
+    statement: str
+    params: tuple[tuple[str, int], ...]
 
 
-def checks_routes(n_max: int, k_max: int) -> list[Check]:
-    return [lambda n=n, k=k: verify_routes(n, k)
-            for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+def _bernoulli_top(k_max: int) -> int:
+    # B_0..B_top get a report line each, so the line count depends on k_max
+    return 6 * (k_max + 1)
 
 
-def checks_thm1(n_max: int, k_max: int) -> list[Check]:
-    return [lambda n=n, k=k: verify_thm1(n, k)
-            for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+def _n_by_k(n_max: int, k_max: int):
+    return product(range(1, n_max + 1), range(1, k_max + 1))
 
 
-def checks_thm6(n_max: int, k_max: int) -> list[Check]:
-    return [lambda n=n, k=k: verify_thm6(n, k)
-            for n in range(2, n_max + 1, 2) for k in range(2, k_max + 1, 2)]
+#: statement -> (verifier name, parameter names, parameter grid as a function
+#: of (n_max, k_max)), in the order "all" runs them.  The verifier is looked
+#: up on this module by name when a check runs, so a wrapper bound to the
+#: module attribute (a tracer, a test's monkeypatch) is the one called.
+SUITE_TABLE = {
+    "routes": ("verify_routes", ("n", "k"), _n_by_k),
+    "thm1": ("verify_thm1", ("n", "k"), _n_by_k),
+    "thm6": ("verify_thm6", ("n", "k"),
+             lambda n_max, k_max: product(range(2, n_max + 1, 2),
+                                          range(2, k_max + 1, 2))),
+    "corollary": ("verify_corollary", ("n", "k"), _n_by_k),
+    "lemma4": ("verify_lemma4", ("k", "N"),
+               lambda n_max, k_max: ((k, 6 * (k + 1))
+                                     for k in range(1, k_max + 1))),
+    "lemma5": ("verify_lemma5", ("k", "nu", "n"),
+               lambda n_max, k_max: ((k, nu, n) for k in range(1, k_max + 1)
+                                     for n in range(1, n_max + 1)
+                                     for nu in range(1, n * k + 1))),
+    "lemma7": ("verify_lemma7", ("k", "n"),
+               lambda n_max, k_max: product(range(1, k_max + 1),
+                                            range(1, n_max + 1))),
+    "thm8": ("verify_thm8", ("n", "k"), _n_by_k),
+    "cor9": ("verify_cor9", ("n", "k"),
+             lambda n_max, k_max: [(n, 1) for n in range(1, n_max + 1)]
+             + [(n, 2) for n in range(1, n_max + 1, 2)]),
+    "cor10": ("verify_cor10", ("n",),
+              lambda n_max, k_max: ((n,) for n in range(n_max + 1))),
+    "eq2.8": ("verify_polylog", ("k", "N"),
+              lambda n_max, k_max: ((k, 20) for k in range(1, k_max + 1))),
+    # the named suites only consume B_m for m >= 2; this row makes a fault
+    # anywhere in the reported range of the cache fail "all"
+    "bernoulli-cache": ("verify_bernoulli_cache", ("m",),
+                        lambda n_max, k_max: (
+                            (m,) for m in range(_bernoulli_top(k_max) + 1))),
+}
 
-
-def checks_corollary(n_max: int, k_max: int) -> list[Check]:
-    return [lambda n=n, k=k: verify_corollary(n, k)
-            for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
-
-
-def checks_lemma4(k_max: int) -> list[Check]:
-    return [lambda k=k: verify_lemma4(k, 6 * (k + 1))
-            for k in range(1, k_max + 1)]
-
-
-def checks_lemma5(n_max: int, k_max: int) -> list[Check]:
-    return [lambda k=k, nu=nu, n=n: verify_lemma5(k, nu, n)
-            for k in range(1, k_max + 1) for n in range(1, n_max + 1)
-            for nu in range(1, n * k + 1)]
-
-
-def checks_lemma7(n_max: int, k_max: int) -> list[Check]:
-    return [lambda k=k, n=n: verify_lemma7(k, n)
-            for k in range(1, k_max + 1) for n in range(1, n_max + 1)]
-
-
-def checks_thm8(n_max: int, k_max: int) -> list[Check]:
-    return [lambda n=n, k=k: verify_thm8(n, k)
-            for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
-
-
-def checks_cor9(n_max: int) -> list[Check]:
-    out = [lambda n=n: verify_cor9(n, 1) for n in range(1, n_max + 1)]
-    out += [lambda n=n: verify_cor9(n, 2) for n in range(1, n_max + 1, 2)]
-    return out
-
-
-def checks_cor10(n_max: int) -> list[Check]:
-    return [lambda n=n: verify_cor10(n) for n in range(n_max + 1)]
-
-
-def checks_polylog(k_max: int, order: int = 20) -> list[Check]:
-    return [lambda k=k: verify_polylog(k, order)
-            for k in range(1, k_max + 1)]
-
-
-def checks_bernoulli_cache(top: int) -> list[Check]:
-    # B_0..B_top are reported, so the count depends on the suite parameters
-    # only; the last check also verifies every entry published above top by
-    # the time it runs and reports just the failures among them, so an
-    # injected fault anywhere in the cache still fails the run
-    return ([lambda m=m: verify_bernoulli_cache(m) for m in range(top + 1)]
-            + [lambda: _failing_bernoulli_cache_entries(top)])
-
-
-def _failing_bernoulli_cache_entries(top: int) -> list[VerificationReport]:
-    from .specialfns import bernoulli_cache
-    reports = (verify_bernoulli_cache(m)
-               for m in range(top + 1, len(bernoulli_cache.polys)))
-    return [r for r in reports if not r.passed]
-
-
-SUITES = ("routes", "thm1", "thm6", "corollary", "lemma4", "lemma5",
-          "lemma7", "thm8", "cor9", "cor10", "eq2.8")
+#: the suites a caller can name; "bernoulli-cache" runs under "all" only
+SUITES = tuple(SUITE_TABLE)[:-1]
 
 
 def suite_checks(suite: str, n_max: int, k_max: int) -> list[Check]:
-    """Build the (canonically ordered) check list for a named suite."""
-    builders = {
-        "routes": lambda: checks_routes(n_max, k_max),
-        "thm1": lambda: checks_thm1(n_max, k_max),
-        "thm6": lambda: checks_thm6(n_max, k_max),
-        "corollary": lambda: checks_corollary(n_max, k_max),
-        "lemma4": lambda: checks_lemma4(k_max),
-        "lemma5": lambda: checks_lemma5(n_max, k_max),
-        "lemma7": lambda: checks_lemma7(n_max, k_max),
-        "thm8": lambda: checks_thm8(n_max, k_max),
-        "cor9": lambda: checks_cor9(n_max),
-        "cor10": lambda: checks_cor10(n_max),
-        "eq2.8": lambda: checks_polylog(k_max),
-    }
+    """The checks of a named suite, or of every table row for "all", in
+    report order."""
     if suite == "all":
-        out: list[Check] = []
-        for name in SUITES:
-            out.extend(builders[name]())
-        # the named suites only consume B_m for m >= 2; the cache sweep makes
-        # a fault anywhere in the published cache flip the run to failure
-        out.extend(checks_bernoulli_cache(6 * (k_max + 1)))
-        return out
-    if suite not in builders:
-        raise ValueError(f"unknown suite {suite!r}")
-    return builders[suite]()
-
-
-def run_checks(checks: list[Check],
-               parallel: bool = False) -> list[VerificationReport]:
-    """Execute checks, preserving list order (also under --parallel)."""
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(lambda c: c(), checks))
+        statements = list(SUITE_TABLE)
+    elif suite in SUITES:
+        statements = [suite]
     else:
-        results = [c() for c in checks]
-    reports: list[VerificationReport] = []
-    for r in results:
-        reports.extend(r if isinstance(r, list) else [r])
+        raise ValueError(f"unknown suite {suite!r}")
+    checks = []
+    for statement in statements:
+        _, names, grid = SUITE_TABLE[statement]
+        checks += [Check(statement, tuple(zip(names, values)))
+                   for values in grid(n_max, k_max)]
+    return checks
+
+
+def run_checks(checks: Iterable[Check]) -> list[VerificationReport]:
+    """One report per check, in order.  A check that raises becomes a FAIL
+    report whose witness names the exception, and the sweep goes on."""
+    reports = []
+    for check in checks:
+        verify = globals()[SUITE_TABLE[check.statement][0]]
+        try:
+            reports.append(verify(*(value for _, value in check.params)))
+        except Exception as exc:
+            reports.append(_report(check.statement, check.params, False,
+                                   f"{type(exc).__name__}: {exc}"))
+    return reports
+
+
+def run_suite(suite: str, n_max: int, k_max: int) -> list[VerificationReport]:
+    """Run a suite's checks.  After every check of "all", each Bernoulli
+    cache entry published above the reported range is verified as well and
+    reported only when it fails, so the output does not depend on what the
+    process computed before, yet a fault anywhere in the cache fails the run.
+    """
+    reports = run_checks(suite_checks(suite, n_max, k_max))
+    if suite == "all":
+        from .specialfns import bernoulli_cache
+        above = [Check("bernoulli-cache", (("m", m),)) for m in range(
+            _bernoulli_top(k_max) + 1, len(bernoulli_cache.polys))]
+        reports += [r for r in run_checks(above) if not r.passed]
     return reports

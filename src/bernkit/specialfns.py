@@ -7,39 +7,29 @@ rational-function form of the polylogarithm at negative integer order.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .polycore import UniPoly, binomial, factorial
 
 
 class BernoulliCache:
-    """Monotone cache of Bernoulli numbers and polynomials.
-
-    Growth happens under a lock; entries are appended only after they are
-    fully built, so concurrent readers see initialized prefixes only.
-    """
+    """Monotone cache of Bernoulli numbers and polynomials."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.numbers = [Fraction(1)]
         self.polys = [UniPoly([1], "z")]
 
     def ensure(self, k: int) -> None:
-        if k < len(self.polys):
-            return
-        with self._lock:
-            while len(self.numbers) <= k:
-                # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
-                m = len(self.numbers)
-                acc = sum(binomial(m + 1, j) * self.numbers[j]
-                          for j in range(m))
-                self.numbers.append(Fraction(-acc, m + 1))
-            while len(self.polys) <= k:
-                m = len(self.polys)
-                self.polys.append(UniPoly(
-                    [binomial(m, i) * self.numbers[m - i]
-                     for i in range(m + 1)], "z"))
+        while len(self.numbers) <= k:
+            # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
+            m = len(self.numbers)
+            acc = sum(binomial(m + 1, j) * self.numbers[j] for j in range(m))
+            self.numbers.append(Fraction(-acc, m + 1))
+        while len(self.polys) <= k:
+            m = len(self.polys)
+            self.polys.append(UniPoly(
+                [binomial(m, i) * self.numbers[m - i]
+                 for i in range(m + 1)], "z"))
 
 
 class EulerianCache:
@@ -51,23 +41,19 @@ class EulerianCache:
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.triangle = [[1]]
         self.polys = [UniPoly([1], "y")]
 
     def ensure(self, k: int) -> None:
-        if k < len(self.polys):
-            return
-        with self._lock:
-            while len(self.triangle) <= k:
-                m = len(self.triangle)
-                prev = self.triangle[-1]
-                row = [0] * (m + 1)
-                for j in range(1, m + 1):
-                    left = prev[j] if j < len(prev) else 0
-                    row[j] = j * left + (m - j + 1) * prev[j - 1]
-                self.triangle.append(row)
-                self.polys.append(UniPoly(row, "y"))
+        while len(self.triangle) <= k:
+            m = len(self.triangle)
+            prev = self.triangle[-1]
+            row = [0] * (m + 1)
+            for j in range(1, m + 1):
+                left = prev[j] if j < len(prev) else 0
+                row[j] = j * left + (m - j + 1) * prev[j - 1]
+            self.triangle.append(row)
+            self.polys.append(UniPoly(row, "y"))
 
 
 #: process-wide caches; reachable so tests can inject faults deliberately

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+
+import pytest
 
 import bernkit
 from bernkit.cli import (fmt_rational, main, parse_rational, poly_from_document,
@@ -195,6 +198,17 @@ def test_verify_all_default_output_is_stable(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("extra, digest", [
+    ([], "e0b77a0a987aeeef5760704fae6d057e0c4b90011ffad314aa803786255cd1ec"),
+    (["--n-max", "5", "--k-max", "4"],
+     "4c7825490976440930583890f7f8d47c345c3f7800877799a106ec60b448824b"),
+])
+def test_verify_all_output_matches_pinned_digest(capsys, extra, digest):
+    code, out = run(["verify", "all"] + extra, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_all_output_ignores_cache_history(capsys):
     from bernkit.specialfns import bernoulli_cache
     code, before = run(["verify", "all"], capsys)
@@ -240,23 +254,52 @@ def test_verify_failure_json_carries_witness(capsys):
     assert all(r["witness"] is None for r in passed)
 
 
-def test_verify_json_and_parallel_determinism(capsys):
+def test_verify_sorted_and_json_counts_without_parallel(capsys):
     args = ["verify", "lemma5", "--n-max", "2", "--k-max", "2"]
     code, sequential = run(args, capsys)
     assert code == 0
-    code, parallel = run(args + ["--parallel"], capsys)
-    assert code == 0
-    assert sequential == parallel
     code, sorted_out = run(args + ["--sorted"], capsys)
     assert code == 0
-    # canonical order: same lines, forced into sorted order, stable across
-    # parallel execution
+    # canonical order: same lines, forced into sorted order
     assert sorted(sorted_out.splitlines()) == sorted(sequential.splitlines())
-    code, sorted_parallel = run(args + ["--sorted", "--parallel"], capsys)
-    assert sorted_parallel == sorted_out
     code, doc = run_json(args, capsys)
     assert doc["passed"] is True
     assert doc["counts"] == {"total": len(doc["reports"]), "failed": 0}
+    # there is no --parallel option
+    assert main(args + ["--parallel"]) == 2
+    capsys.readouterr()
+
+
+def test_verify_check_that_raises_is_a_fail_report(capsys):
+    from bernkit.specialfns import eulerian_cache
+    eulerian_cache.ensure(2)
+    original = eulerian_cache.polys[2]
+    broken = list(original.coeffs)
+    broken[1] += Fraction(1, 2)
+    eulerian_cache.polys[2] = UniPoly(broken, "y")
+    try:
+        code, out = run(["verify", "routes", "--n-max", "2", "--k-max", "2"],
+                        capsys)
+    finally:
+        eulerian_cache.polys[2] = original
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(" ::")[0] for line in lines[:-1]] == [
+        f"{'FAIL' if k == 2 else 'PASS'} routes n={n} k={k}"
+        for n in (1, 2) for k in (1, 2)]
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert all(":: ValueError: " in line for line in fails)
+    assert lines[-1] == "2/4 checks passed"
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr("bernkit.cli.conv.p_poly", broken)
+    assert main(["compute", "p", "--n", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: injected" in err
 
 
 def test_verify_latex(capsys):

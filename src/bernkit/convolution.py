@@ -17,6 +17,8 @@ sequences attached to their linear coefficients.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -121,10 +123,43 @@ ROUTES: dict[str, Callable[[int, int], UniPoly]] = {
 
 
 def s_poly(n: int, k: int, route: str = "direct") -> UniPoly:
-    """Dispatch to one of the three routes ("direct", "series", "eulerian")."""
+    """Dispatch to one of the three routes ("direct", "series", "eulerian").
+
+    Inside a `per_run_memo` block each (n, k, route) is computed once and
+    the same polynomial is returned to every later caller; outside one every
+    call recomputes.
+    """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    return ROUTES[route](n, k)
+    return _once_per_run(("s", n, k, route), lambda: ROUTES[route](n, k))
+
+
+#: objects computed once per sweep, keyed by what they are; None outside a
+#: `per_run_memo` block, where every function recomputes.  A context
+#: variable, so a sweep never sees a memo opened by another thread.
+_run_memo: ContextVar[Optional[dict]] = ContextVar("run_memo", default=None)
+
+
+@contextmanager
+def per_run_memo():
+    """Share S polynomials, multisum powers and the Bernoulli comparison
+    series among the checks run inside the block.  `run_suite` opens one per
+    call, so nothing outlives a sweep and a fault injected into a family
+    cache between sweeps is seen by the next one."""
+    token = _run_memo.set({})
+    try:
+        yield
+    finally:
+        _run_memo.reset(token)
+
+
+def _once_per_run(key, build):
+    memo = _run_memo.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -155,11 +190,25 @@ def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
         return UniPoly((), "y")
 
     def factor(j: int) -> UniPoly:
-        if j > k:
-            return UniPoly((), "y")
         return binomial(k, j) * eulerian_poly(j)
 
-    return _sum_over_compositions(nu, n, factor, UniPoly.constant(1, "y"))
+    return _sum_over_bounded_compositions(nu, n, k, factor,
+                                          UniPoly.constant(1, "y"))
+
+
+def _sum_over_bounded_compositions(total, parts, bound, factor, prefix):
+    # as _sum_over_compositions, over parts in 0..bound only, for
+    # total <= parts * bound: a first part j leaves total - j for parts - 1
+    # parts of at most `bound` each, so j starts at total - (parts - 1) *
+    # bound and no dead prefix is walked
+    if parts == 1:
+        return prefix * factor(total)
+    acc = None
+    for j in range(max(0, total - (parts - 1) * bound), min(total, bound) + 1):
+        term = _sum_over_bounded_compositions(total - j, parts - 1, bound,
+                                              factor, prefix * factor(j))
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
@@ -596,10 +645,10 @@ def verify_corollary(n: int, k: int,
     points = [Fraction(0), Fraction(1)]
     if n % 2 or k % 2:
         points.append(Fraction(1, 2))
-    bad = [(pt, s(pt)) for pt in points if s(pt) != 0]
-    if bad:
-        pt, val = bad[0]
-        return _report("corollary", params, False, f"S({pt}) = {val} != 0")
+    for pt in points:
+        val = s(pt)
+        if val != 0:
+            return _report("corollary", params, False, f"S({pt}) = {val} != 0")
     return _report("corollary", params, True)
 
 
@@ -619,9 +668,10 @@ def verify_thm6(n: int, k: int, route: str = "series") -> VerificationReport:
 def verify_routes(n: int, k: int) -> VerificationReport:
     """Exact agreement of every applicable route."""
     params = [("n", n), ("k", k)]
-    polys = {"direct": s_direct(n, k), "series": s_series(n, k)}
+    polys = {"direct": s_poly(n, k, "direct"),
+             "series": s_poly(n, k, "series")}
     if k >= 1:
-        polys["eulerian"] = s_eulerian(n, k)
+        polys["eulerian"] = s_poly(n, k, "eulerian")
     names = list(polys)
     base = polys[names[0]]
     for name in names[1:]:
@@ -646,15 +696,44 @@ def verify_lemma4(k: int, order: int) -> VerificationReport:
     return _report("lemma4", params, True)
 
 
+#: verify_lemma5 compares the composition enumeration as well wherever the
+#: point has at most this many weak compositions with parts <= k; the
+#: default grid (n <= 4, k <= 3) peaks at 44 and n <= 5, k <= 4 at 381
+LEMMA5_ENUMERATION_BUDGET = 500
+
+
+def _composition_count(k: int, nu: int, n: int) -> int:
+    """Number of weak compositions of nu into n parts, each at most k
+    (inclusion-exclusion over the parts forced above k)."""
+    return sum((-1) ** i * binomial(n, i)
+               * binomial(nu - i * (k + 1) + n - 1, n - 1)
+               for i in range(n + 1) if nu - i * (k + 1) >= 0)
+
+
 def verify_lemma5(k: int, nu: int, n: int) -> VerificationReport:
     """Closed coefficient values of the multisum polynomial, plus agreement
-    of its two computations."""
+    of its independent computations.
+
+    The closed values are read from multisum_power(k, n), built once per
+    (k, n) inside a sweep, and that polynomial must equal the multinomial
+    computation.  Where the point has at most LEMMA5_ENUMERATION_BUDGET
+    compositions (the whole default grid) the composition enumeration must
+    equal them too, so three computations are compared; above the budget
+    the enumeration is skipped and two are compared.
+    """
     params = [("k", k), ("nu", nu), ("n", n)]
-    p = multisum_poly(k, nu, n)
     q = multisum_poly_multinomial(k, nu, n)
+    if _composition_count(k, nu, n) <= LEMMA5_ENUMERATION_BUDGET:
+        e = multisum_poly(k, nu, n)
+        if e != q:
+            return _report("lemma5", params, False,
+                           f"enumeration vs multinomial differ: {e - q!r}")
+    power = _once_per_run(("multisum_power", k, n),
+                          lambda: multisum_power(k, n))
+    p = power[nu] if nu < len(power) else UniPoly((), "y")
     if p != q:
         return _report("lemma5", params, False,
-                       f"enumeration vs multinomial differ: {p - q!r}")
+                       f"power vs multinomial differ: {p - q!r}")
     c1, c2, c_lead = lemma5_coeffs(k, nu, n)
     if p.coefficient(0) != 0:
         return _report("lemma5", params, False,
@@ -690,7 +769,7 @@ def verify_thm8(n: int, k: int) -> VerificationReport:
     """The alternating-sum formula reproduces the z-coefficient of the
     defining sum (both are 0 when n and k are even)."""
     params = [("n", n), ("k", k)]
-    direct = s_direct(n, k).coefficient(1)
+    direct = s_poly(n, k, "direct").coefficient(1)
     formula = coeff_z_thm8(n, k)
     raw = coeff_z_formula(n, k)
     if formula != direct:
@@ -750,13 +829,26 @@ def verify_bernoulli_cache(m: int) -> VerificationReport:
 
     The cache is built by the number recurrence, the comparison value by
     series inversion that never reads the cache, so a corrupted cache entry
-    cannot hide.
+    cannot hide.  Only the x^m coefficient of the product is formed.  Inside
+    a sweep one x/(e^x-1) serves every m: it is built to the larger of m and
+    the top published cache entry, and rebuilt only for an m beyond that.
     """
     from .series import exp_zx, x_over_expm1_pow
+    from .specialfns import bernoulli_cache
     params = [("m", m)]
     cached = bernoulli_poly(m)
-    independent = factorial(m) * (
-        x_over_expm1_pow(1, m) * exp_zx(m)).coefficient(m)
+    memo = _run_memo.get()
+    if memo is None:
+        inverse = x_over_expm1_pow(1, m)
+    else:
+        inverse = memo.get("x/(e^x-1)")
+        if inverse is None or inverse.order < m:
+            inverse = memo["x/(e^x-1)"] = x_over_expm1_pow(
+                1, max(m, len(bernoulli_cache.polys) - 1))
+    exp = exp_zx(m)
+    independent = factorial(m) * sum(
+        (inverse.coefficient(i) * exp.coefficient(m - i)
+         for i in range(m + 1)), UniPoly((), "z"))
     if cached != independent:
         return _report("bernoulli-cache", params, False,
                        f"cached {cached!r} != series value {independent!r}")
@@ -875,10 +967,11 @@ def run_suite(suite: str, n_max: int, k_max: int) -> list[VerificationReport]:
     reported only when it fails, so the output does not depend on what the
     process computed before, yet a fault anywhere in the cache fails the run.
     """
-    reports = run_checks(suite_checks(suite, n_max, k_max))
-    if suite == "all":
-        from .specialfns import bernoulli_cache
-        above = [Check("bernoulli-cache", (("m", m),)) for m in range(
-            _bernoulli_top(k_max) + 1, len(bernoulli_cache.polys))]
-        reports += [r for r in run_checks(above) if not r.passed]
+    with per_run_memo():
+        reports = run_checks(suite_checks(suite, n_max, k_max))
+        if suite == "all":
+            from .specialfns import bernoulli_cache
+            above = [Check("bernoulli-cache", (("m", m),)) for m in range(
+                _bernoulli_top(k_max) + 1, len(bernoulli_cache.polys))]
+            reports += [r for r in run_checks(above) if not r.passed]
     return reports

@@ -184,14 +184,6 @@ def exp_x(order: int, var: str = "z") -> TruncSeries:
                 for m in range(order + 1)], var)
 
 
-def one_minus_exp_x(order: int, var: str = "z") -> TruncSeries:
-    """1 - e^x (zero constant term)."""
-    return TruncSeries(
-        order, [UniPoly.constant(
-            Fraction(0) if m == 0 else Fraction(-1, factorial(m)), var)
-            for m in range(order + 1)], var)
-
-
 def x_over_expm1_pow(r: int, order: int, var: str = "z") -> TruncSeries:
     """(x/(e^x - 1))^r, as the (-r)-th power of (e^x - 1)/x."""
     if r < 1:
@@ -237,28 +229,22 @@ def build_F_eulerian(k: int, order: int) -> TruncSeries:
 
     (x/(e^x-1))^{k+1} e^{xz} sum_{j=0}^{k} (1-e^x)^j A_{k-j}(e^x)/(k-j)! * z^j/j!
 
-    (1-e^x)^j is carried from one j to the next, and each A_{k-j}(e^x) is a
-    linear combination of the powers e^{ix}, i = 0..k, built once.
+    The sum is first formed as sum_i c_i(z) y^i with y = e^x: each
+    (1-y)^j A_{k-j}(y) has degree at most k in y, so c_i(z) collects
+    [y^i] (1-y)^j A_{k-j}(y) / (j! (k-j)!) over the powers z^j.  Then
+    y^i -> e^{ix} gives the x^m coefficient sum_i c_i(z) i^m/m! directly,
+    and two series products are left.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is covered by the "
                          "direct construction)")
-    base = x_over_expm1_pow(k + 1, order) * exp_zx(order)
-    inv_facts = [Fraction(1, factorial(m)) for m in range(order + 1)]
-    exp_ix = [TruncSeries(order, [UniPoly.constant(i ** m * f)
-                                  for m, f in enumerate(inv_facts)])
-              for i in range(k + 1)]
-    one_minus = one_minus_exp_x(order)
-    carried = TruncSeries.one(order)
-    acc = TruncSeries(order, (), "z")
-    for j in range(k + 1):
-        if j:
-            carried = carried * one_minus
-        eulerian_at_exp = TruncSeries(order, (), "z")
-        for i, c in enumerate(eulerian_poly(k - j).coeffs):
-            if c:
-                eulerian_at_exp = eulerian_at_exp + exp_ix[i] * c
-        term = carried * eulerian_at_exp * UniPoly.monomial(
-            Fraction(1, factorial(j) * factorial(k - j)), j, "z")
-        acc = acc + term
-    return base * acc
+    in_y = [UniPoly([1, -1], "y") ** j * eulerian_poly(k - j)
+            for j in range(k + 1)]
+    c = [UniPoly([Fraction(p.coefficient(i), factorial(j) * factorial(k - j))
+                  for j, p in enumerate(in_y)], "z")
+         for i in range(k + 1)]
+    at_exp = TruncSeries(order, [
+        sum((c_i * Fraction(i ** m, factorial(m)) for i, c_i in enumerate(c)),
+            UniPoly((), "z"))
+        for m in range(order + 1)])
+    return x_over_expm1_pow(k + 1, order) * exp_zx(order) * at_exp

@@ -202,6 +202,8 @@ def test_verify_all_default_output_is_stable(capsys):
     ([], "e0b77a0a987aeeef5760704fae6d057e0c4b90011ffad314aa803786255cd1ec"),
     (["--n-max", "5", "--k-max", "4"],
      "4c7825490976440930583890f7f8d47c345c3f7800877799a106ec60b448824b"),
+    (["--n-max", "6", "--k-max", "4"],
+     "94cd9c2684931a864f3dab730063db8255dd6879ed58af7378c651d9d431a15f"),
 ])
 def test_verify_all_output_matches_pinned_digest(capsys, extra, digest):
     code, out = run(["verify", "all"] + extra, capsys)

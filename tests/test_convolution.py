@@ -402,3 +402,90 @@ def test_a_coeff_list_rejects_non_integral():
     with pytest.raises(ValueError):
         _with_eulerian_entry(3, half, lambda: a_coeff_list(3, 2))
     assert a_coeff_list(3, 2) == (1, 8, 18, 8, 1)
+
+
+# -- the per-run memo and the enumeration guards --------------------------
+
+def _counting_routes(monkeypatch):
+    import bernkit.convolution as conv
+    calls = []
+    for name, route in list(conv.ROUTES.items()):
+        monkeypatch.setitem(
+            conv.ROUTES, name,
+            lambda n, k, _name=name, _route=route:
+            calls.append((_name, n, k)) or _route(n, k))
+    return calls
+
+
+def test_run_suite_computes_each_route_once_per_point(monkeypatch):
+    import bernkit.convolution as conv
+    calls = _counting_routes(monkeypatch)
+    reports = conv.run_suite("all", 4, 3)
+    assert all(r.passed for r in reports)
+    grid = [(n, k) for n in range(1, 5) for k in range(1, 4)]
+    assert sorted(calls) == sorted((route, n, k) for route in conv.ROUTES
+                                   for n, k in grid)
+
+
+def test_verify_outside_a_run_recomputes(monkeypatch):
+    calls = _counting_routes(monkeypatch)
+    assert verify_thm1(2, 1).passed
+    assert verify_thm1(2, 1).passed
+    assert calls == [("series", 2, 1)] * 2
+
+
+def test_s_direct_does_not_use_the_pruned_enumeration(monkeypatch):
+    import bernkit.convolution as conv
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("s_direct walked the pruned enumeration")
+
+    expected = s_series(4, 3)
+    monkeypatch.setattr(conv, "_sum_over_bounded_compositions", forbidden)
+    assert s_direct(4, 3) == expected
+
+
+def test_lemma5_above_the_budget_skips_the_enumeration(monkeypatch):
+    import bernkit.convolution as conv
+    assert conv._composition_count(5, 20, 8) > conv.LEMMA5_ENUMERATION_BUDGET
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration above the budget")
+
+    monkeypatch.setattr(conv, "multisum_poly", forbidden)
+    assert conv.verify_lemma5(5, 20, 8).passed
+
+
+def test_lemma5_budget_covers_the_default_grid(monkeypatch):
+    import bernkit.convolution as conv
+    counts = [conv._composition_count(k, nu, n) for k in range(1, 4)
+              for n in range(1, 5) for nu in range(1, n * k + 1)]
+    assert max(counts) <= conv.LEMMA5_ENUMERATION_BUDGET
+    calls = []
+    enumerate_ = conv.multisum_poly
+    monkeypatch.setattr(conv, "multisum_poly",
+                        lambda *args: calls.append(args) or enumerate_(*args))
+    assert conv.verify_lemma5(3, 6, 4).passed
+    assert calls == [(3, 6, 4)]
+
+
+def test_composition_count_matches_enumeration():
+    from bernkit.convolution import _composition_count
+    from itertools import product as tuples
+    for k in range(1, 4):
+        for n in range(1, 5):
+            for nu in range(n * k + 2):
+                brute = sum(sum(c) == nu
+                            for c in tuples(range(k + 1), repeat=n))
+                assert _composition_count(k, nu, n) == brute, (k, nu, n)
+
+
+def test_lemma5_reports_a_corrupted_power(monkeypatch):
+    import bernkit.convolution as conv
+    power = conv.multisum_power(2, 3)
+    broken = list(power)
+    broken[4] = broken[4] + UniPoly([0, 1], "y")
+    monkeypatch.setattr(conv, "multisum_power", lambda k, n: broken)
+    report = conv.verify_lemma5(2, 4, 3)
+    assert not report.passed
+    assert report.witness.startswith("power vs multinomial differ")

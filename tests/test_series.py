@@ -5,13 +5,18 @@ import pytest
 
 from bernkit.polycore import UniPoly, factorial
 from bernkit.series import (TruncSeries, build_F_direct, build_F_eulerian,
-                            build_G, exp_x, exp_zx, one_minus_exp_x,
+                            build_G, exp_x, exp_zx,
                             poly_at_series, x_over_expm1_pow)
 from bernkit.specialfns import bernoulli_number, bernoulli_poly
 
 
 def const_series(values, order, var="z"):
     return TruncSeries(order, [UniPoly.constant(v, var) for v in values], var)
+
+
+# 1 - e^x through x^4: a zero constant term, so no inverse
+ONE_MINUS_EXP_X = const_series(
+    [0] + [Fraction(-1, factorial(m)) for m in range(1, 5)], 4)
 
 
 def test_mul_basic():
@@ -68,7 +73,7 @@ def test_negative_pow_is_power_of_inverse():
     for n in range(5):
         assert a ** -n == acc
         acc = acc * inv
-    for bad in (one_minus_exp_x(4), TruncSeries(3, [UniPoly([1, 1])]),
+    for bad in (ONE_MINUS_EXP_X, TruncSeries(3, [UniPoly([1, 1])]),
                 TruncSeries(3, ())):
         with pytest.raises(ValueError):
             bad ** -2
@@ -104,7 +109,7 @@ def test_inverse_roundtrip_and_bernoulli_numbers():
 
 def test_inverse_requires_unit():
     with pytest.raises(ValueError):
-        one_minus_exp_x(4).inverse()
+        ONE_MINUS_EXP_X.inverse()
     with pytest.raises(ValueError):
         TruncSeries(3, [UniPoly([0, 1], "z")]).inverse()
 
@@ -150,9 +155,9 @@ def test_build_F_direct_small():
 
 
 def test_build_F_eulerian_equals_direct():
-    for k in (1, 2, 3):
-        order = 6 * (k + 1) if k < 3 else 10
-        assert build_F_eulerian(k, order) == build_F_direct(k, order)
+    # the lemma-4 grid 6(k+1) for k = 1..5, and one shorter truncation
+    for k, order in [(k, 6 * (k + 1)) for k in range(1, 6)] + [(3, 10)]:
+        assert build_F_eulerian(k, order) == build_F_direct(k, order), k
     with pytest.raises(ValueError):
         build_F_eulerian(0, 4)
 
@@ -190,3 +195,24 @@ def test_reflection_of_F():
         for m in range(13):
             c = f.coefficient(m)
             assert (-1) ** m * c.compose_affine(-1, 1) == c
+
+
+def test_bernoulli_cache_check_grows_its_series_within_a_run(monkeypatch):
+    import bernkit.series as series
+    from bernkit.convolution import per_run_memo, verify_bernoulli_cache
+    from bernkit.specialfns import bernoulli_cache
+    # start from a short cache so the run's comparison series has to grow
+    for name in ("numbers", "polys"):
+        monkeypatch.setattr(bernoulli_cache, name,
+                            getattr(bernoulli_cache, name)[:9])
+    orders = []
+    build = series.x_over_expm1_pow
+    monkeypatch.setattr(series, "x_over_expm1_pow",
+                        lambda r, order: orders.append(order)
+                        or build(r, order))
+    with per_run_memo():
+        for m in range(41):
+            assert verify_bernoulli_cache(m).passed, m
+    assert orders[0] == 8
+    assert orders[-1] == 40
+    assert orders == sorted(set(orders))

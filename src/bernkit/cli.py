@@ -12,7 +12,6 @@ error: it becomes a FAIL report.  Every rational is printed as an exact
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -105,6 +104,7 @@ def emit(text: str) -> None:
 
 
 def emit_json(doc: dict) -> None:
+    import json  # only when JSON is asked for, to keep start-up lean
     print(json.dumps(doc, indent=2))
 
 
@@ -156,10 +156,10 @@ def cmd_compute(args) -> int:
         route = args.route or "direct"
         names = ["direct", "series"] + (["eulerian"] if args.k >= 1 else [])
         if route == "all":
-            results = conv.s_all_routes(args.n, args.k)
-            routes = {r.route: r.poly for r in results}
+            routes = {name: conv.s_poly(args.n, args.k, name)
+                      for name in names}
             _print_poly_result("s", {"n": args.n, "k": args.k},
-                               results[0].poly, fmt, routes)
+                               routes["direct"], fmt, routes)
             return 0
         if route not in names:
             raise UsageError(f"route must be one of {names + ['all']}")

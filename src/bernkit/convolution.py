@@ -17,12 +17,12 @@ sequences attached to their linear coefficients.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Optional, Union
 
 from .polycore import (UniPoly, binomial, factorial, falling_product,
                        multinomial)
@@ -137,7 +137,7 @@ def s_poly(n: int, k: int, route: str = "direct") -> UniPoly:
 #: objects computed once per sweep, keyed by what they are; None outside a
 #: `per_run_memo` block, where every function recomputes.  A context
 #: variable, so a sweep never sees a memo opened by another thread.
-_run_memo: ContextVar[Optional[dict]] = ContextVar("run_memo", default=None)
+_run_memo: ContextVar[dict | None] = ContextVar("run_memo", default=None)
 
 
 @contextmanager
@@ -160,21 +160,6 @@ def _once_per_run(key, build):
     if key not in memo:
         memo[key] = build()
     return memo[key]
-
-
-@dataclass(frozen=True)
-class SnkResult:
-    """One computed S[n,k](z) tagged with the route that produced it."""
-    n: int
-    k: int
-    route: str
-    poly: UniPoly
-
-
-def s_all_routes(n: int, k: int) -> list[SnkResult]:
-    """Compute S[n,k] by every applicable route (eulerian needs k >= 1)."""
-    names = ["direct", "series"] + (["eulerian"] if k >= 1 else [])
-    return [SnkResult(n, k, name, s_poly(n, k, name)) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +263,10 @@ def lemma5_coeffs(k: int, nu: int, n: int) -> tuple[int, int, int]:
     return c1, c2, c_lead
 
 
-@dataclass(frozen=True)
-class DCoeffTable:
-    """Coefficients d_j of (1-y)^{nk-nu} * S^{(n)}_{k,nu}(y), j = 0..nk."""
-    n: int
-    k: int
-    nu: int
-    d: tuple[int, ...]
+class DCoeffTable(namedtuple("DCoeffTable", "n k nu d")):
+    """Coefficients d_j of (1-y)^{nk-nu} * S^{(n)}_{k,nu}(y), j = 0..nk, as
+    the int tuple `d`."""
+    __slots__ = ()
 
 
 def _d_row(power: list[UniPoly], nu: int) -> tuple[int, ...]:
@@ -400,12 +382,20 @@ def coeff_z_formula(n: int, k: int) -> Fraction:
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     a = a_coeff_list(k, n + 1)
-    acc = sum((-1) ** j * a[j] * factorial(n + j)
-              * factorial(k * (n + 1) - 1 - j)
+    fact = _factorials((k + 1) * (n + 1) - 1)
+    acc = sum((-1) ** j * a[j] * fact[n + j] * fact[k * (n + 1) - 1 - j]
               for j in range(len(a)))
     sign = (-1) ** (k * (n + 1) - 1)
     return Fraction(sign * (n + 1) * acc,
-                    factorial(k) * factorial((k + 1) * (n + 1) - 1))
+                    fact[k] * fact[(k + 1) * (n + 1) - 1])
+
+
+def _factorials(top: int) -> list[int]:
+    # [0!, 1!, ..., top!], one multiplication per entry
+    fact = [1]
+    for i in range(1, top + 1):
+        fact.append(fact[-1] * i)
+    return fact
 
 
 def coeff_z_thm8(n: int, k: int) -> Fraction:
@@ -451,12 +441,10 @@ def coeff_z_closed(n: int, k: int) -> Fraction:
 # the integer sequences attached to k = 2 and k = 3
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeqTable:
-    """A computed sequence prefix: values[i] is the term of index start+i."""
-    name: str
-    start: int
-    values: tuple[Union[int, Fraction], ...]
+class SeqTable(namedtuple("SeqTable", "name start values")):
+    """A computed sequence prefix: values[i] (an int or a Fraction) is the
+    term of index start+i."""
+    __slots__ = ()
 
 
 def a_sequence(count: int) -> list[int]:
@@ -498,11 +486,13 @@ def c_sequence(count: int) -> list[Fraction]:
 def c3_sequence(count: int) -> list[Fraction]:
     """z-coefficients of S[n,3](z) for n = 1..count, via the alternating-sum
     formula, where the (A_3(y)/y)^{n+1} = (1+4y+y^2)^{n+1} coefficients are
-    carried from one n to the next by one multiplication by 1+4y+y^2."""
+    carried from one n to the next by one multiplication by 1+4y+y^2 and
+    every factorial is read from one table."""
     if count < 1:
         raise ValueError("count must be >= 1")
     out = []
     row = [1, 4, 1]
+    fact = _factorials(4 * (count + 1) - 1)
     for n in range(1, count + 1):
         n1 = n + 1
         nxt = row + [0, 0]
@@ -510,11 +500,9 @@ def c3_sequence(count: int) -> list[Fraction]:
             nxt[j + 1] += 4 * c
             nxt[j + 2] += c
         row = nxt
-        acc = sum((-1) ** j * row[j] * factorial(n + j)
-                  * factorial(3 * n1 - 1 - j)
+        acc = sum((-1) ** j * row[j] * fact[n + j] * fact[3 * n1 - 1 - j]
                   for j in range(2 * n1 + 1))
-        out.append(Fraction((-1) ** n * n1 * acc,
-                            6 * factorial(4 * n1 - 1)))
+        out.append(Fraction((-1) ** n * n1 * acc, 6 * fact[4 * n1 - 1]))
     return out
 
 
@@ -593,17 +581,18 @@ def p_poly(n: int, route: str = "series") -> UniPoly:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Pass/fail record for one (statement, parameter tuple)."""
-    statement: str
-    params: tuple[tuple[str, int], ...]
-    passed: bool
-    witness: Optional[str] = None
+class VerificationReport(namedtuple("VerificationReport",
+                                    "statement params passed witness")):
+    """Pass/fail record for one (statement, parameter tuple): `params` holds
+    (name, value) pairs, and the witness string is present exactly on
+    failure."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.passed == (self.witness is not None):
+    def __new__(cls, statement: str, params: tuple[tuple[str, int], ...],
+                passed: bool, witness: str | None = None):
+        if passed == (witness is not None):
             raise ValueError("witness must be present exactly on failure")
+        return super().__new__(cls, statement, params, passed, witness)
 
     def label(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.params)
@@ -872,13 +861,11 @@ def degree_check(n: int, k: int, route: str = "series") -> VerificationReport:
 # verification sweeps (used by the CLI and the acceptance tests)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
-    """One statement at one parameter tuple.  The values in `params` are the
-    positional arguments of the statement's verifier, whose report carries
-    the same params."""
-    statement: str
-    params: tuple[tuple[str, int], ...]
+class Check(namedtuple("Check", "statement params")):
+    """One statement at one parameter tuple.  `params` holds (name, value)
+    pairs; the values are the positional arguments of the statement's
+    verifier, whose report carries the same params."""
+    __slots__ = ()
 
 
 def _bernoulli_top(k_max: int) -> int:

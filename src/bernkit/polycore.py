@@ -17,10 +17,8 @@ tests/test_kernel_reference.py checks this kernel against a small
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
 
 #: degree of the zero polynomial (a sentinel below every integer, never -1)
 NEG_INFINITY = float("-inf")
@@ -57,7 +55,7 @@ class UniPoly:
 
     __slots__ = ("nums", "den", "var", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), var: str = "z"):
+    def __init__(self, coeffs: Iterable[int | Fraction] = (), var: str = "z"):
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
               for c in coeffs]
         den = math.lcm(*[c.denominator for c in cs])
@@ -87,7 +85,7 @@ class UniPoly:
         return p
 
     @classmethod
-    def constant(cls, c: Scalar, var: str = "z") -> "UniPoly":
+    def constant(cls, c: int | Fraction, var: str = "z") -> "UniPoly":
         return cls([c], var)
 
     @classmethod
@@ -95,7 +93,8 @@ class UniPoly:
         return cls([0, 1], var)
 
     @classmethod
-    def monomial(cls, c: Scalar, power: int, var: str = "z") -> "UniPoly":
+    def monomial(cls, c: int | Fraction, power: int,
+                 var: str = "z") -> "UniPoly":
         return cls([0] * power + [c], var)
 
     @property
@@ -218,7 +217,7 @@ class UniPoly:
             n >>= 1
         return out
 
-    def __call__(self, at: Scalar) -> Fraction:
+    def __call__(self, at: int | Fraction) -> Fraction:
         """Evaluate by Horner's rule, homogenised so the loop runs on ints."""
         if not self.nums:
             return Fraction(0)
@@ -229,7 +228,8 @@ class UniPoly:
             q_pow *= q
         return Fraction(acc, self.den * (q_pow // q))
 
-    def compose_affine(self, a: Scalar, b: Scalar) -> "UniPoly":
+    def compose_affine(self, a: int | Fraction,
+                       b: int | Fraction) -> "UniPoly":
         """Return p(a*var + b) with coefficients expanded exactly."""
         if not self.nums:
             return self

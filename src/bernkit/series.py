@@ -9,8 +9,8 @@ generating functions used downstream live here as well: e^{zx}, e^x,
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .polycore import UniPoly, factorial
 from .specialfns import bernoulli_poly, eulerian_poly

@@ -52,6 +52,27 @@ def test_compute_s_all_routes_json(capsys):
     assert poly_from_document(doc) == s_direct(1, 1)
 
 
+def test_compute_s_route_all_lists_each_applicable_route(capsys):
+    code, doc = run_json(
+        ["compute", "s", "--n", "2", "--k", "2", "--route", "all"], capsys)
+    assert code == 0
+    assert list(doc["routes"]) == ["direct", "series", "eulerian"]
+    assert doc["agreement"] is True
+    assert len({tuple(v) for v in doc["routes"].values()}) == 1
+    assert doc["coefficients"] == doc["routes"]["direct"]
+    assert poly_from_document(doc).degree == (2 + 1) * (2 + 1) - 1
+    # the eulerian route needs k >= 1, so k = 0 lists the other two only
+    code, doc = run_json(
+        ["compute", "s", "--n", "2", "--k", "0", "--route", "all"], capsys)
+    assert code == 0
+    assert list(doc["routes"]) == ["direct", "series"]
+    code, out = run(["compute", "s", "--n", "2", "--k", "0", "--route", "all"],
+                    capsys)
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "s n=2 k=0 [direct]", "s n=2 k=0 [series]", "agreement"]
+
+
 def test_compute_s_k0(capsys):
     code, out = run(["compute", "s", "--n", "3", "--k", "0"], capsys)
     assert code == 0

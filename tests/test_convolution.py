@@ -1,8 +1,10 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from bernkit.convolution import (a_coeff_list, a_jkn, a_jkn_from_u,
+from bernkit.convolution import (Check, DCoeffTable, SeqTable,
+                                 a_coeff_list, a_jkn, a_jkn_from_u,
                                  a_jkn_multinomial, coeff_z_closed,
                                  coeff_z_formula, coeff_z_thm8, d_coeffs,
                                  degree_check, lemma5_coeffs, multisum_poly,
@@ -58,15 +60,6 @@ def test_route_agreement_small_grid():
     for n in range(1, 4):
         for k in range(1, 3):
             assert verify_routes(n, k).passed
-
-
-def test_s_all_routes_carrier():
-    from bernkit.convolution import s_all_routes
-    results = s_all_routes(2, 2)
-    assert [r.route for r in results] == ["direct", "series", "eulerian"]
-    assert len({r.poly for r in results}) == 1
-    assert results[0].poly.degree == (2 + 1) * (2 + 1) - 1
-    assert [r.route for r in s_all_routes(2, 0)] == ["direct", "series"]
 
 
 def test_k0_closed_form():
@@ -270,6 +263,47 @@ def test_report_invariant():
         VerificationReport("x", (), True, "unexpected witness")
     with pytest.raises(ValueError):
         VerificationReport("x", (), False, None)
+
+
+# record type -> (field names in order, one value per field)
+RECORDS = {
+    Check: (("statement", "params"), ("thm1", (("n", 2), ("k", 1)))),
+    VerificationReport: (("statement", "params", "passed", "witness"),
+                         ("thm1", (("n", 2), ("k", 1)), False, "remainder")),
+    SeqTable: (("name", "start", "values"),
+               ("c", 0, (Fraction(1, 4), Fraction(1, 40)))),
+    DCoeffTable: (("n", "k", "nu", "d"), (3, 1, 0, (1, -3, 3, -1))),
+}
+# another value for each record type's first field
+OTHER_FIRST_FIELD = {Check: "thm6", VerificationReport: "thm6",
+                     SeqTable: "a", DCoeffTable: 4}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+def test_record_type_fields_equality_and_immutability(cls):
+    names, values = RECORDS[cls]
+    positional = cls(*values)
+    keyword = cls(**dict(zip(names, values)))
+    assert cls._fields == names
+    assert tuple(getattr(keyword, name) for name in names) == values
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert {positional: "seen"}[keyword] == "seen"
+    other = cls(OTHER_FIRST_FIELD[cls], *values[1:])
+    assert other != positional
+    assert repr(positional) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)) + ")"
+    assert pickle.loads(pickle.dumps(positional)) == positional
+    with pytest.raises(AttributeError):
+        setattr(positional, names[0], OTHER_FIRST_FIELD[cls])
+    with pytest.raises(AttributeError):
+        positional.extra = 1
+
+
+def test_report_witness_defaults_to_none():
+    report = VerificationReport("thm1", (("n", 1), ("k", 1)), True)
+    assert report.witness is None
+    assert report == VerificationReport("thm1", (("n", 1), ("k", 1)), True,
+                                        None)
 
 
 # -- coefficient of z ---------------------------------------------------------

@@ -129,7 +129,7 @@ def _poly_document(obj, params, p, routes=None):
     if routes is not None:
         doc["routes"] = {name: poly_coeff_strings(q)
                          for name, q in routes.items()}
-        doc["agreement"] = len({q.coeffs for q in routes.values()}) == 1
+        doc["agreement"] = len(set(routes.values())) == 1
     return doc
 
 
@@ -143,7 +143,7 @@ def _print_poly_result(obj, params, p, fmt, routes=None):
     else:
         for name, q in routes.items():
             emit(f"{obj} {label} [{name}]: {render_poly(q, fmt)}")
-        agree = len({q.coeffs for q in routes.values()}) == 1
+        agree = len(set(routes.values())) == 1
         emit(f"agreement: {agree}")
 
 

@@ -24,7 +24,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from itertools import product
 
-from .polycore import (UniPoly, binomial, factorial, falling_product,
+from .polycore import (UniPoly, binomial, dot, factorial, falling_product,
                        multinomial)
 from .specialfns import bernoulli_poly, eulerian_poly, higher_bernoulli_poly
 from .series import build_F_direct
@@ -36,9 +36,13 @@ from .series import build_F_direct
 
 def _sum_over_compositions(total, parts, factor, prefix):
     # sum over weak compositions (j_1..j_parts) of `total` of prod factor(j_i),
-    # carrying the partial product so prefixes are shared
+    # carrying the partial product so prefixes are shared; the last two parts
+    # are one sum of products, each composition's product still formed
     if parts == 1:
         return prefix * factor(total)
+    if parts == 2:
+        return dot(((prefix * factor(j), factor(total - j), 1)
+                    for j in range(total + 1)), prefix.var)
     acc = None
     for j in range(total + 1):
         f = factor(j)
@@ -104,15 +108,12 @@ def s_eulerian(n: int, k: int) -> UniPoly:
             raise ArithmeticError(
                 f"falling product {j} not divisible by its factor")
         products.append(q * UniPoly([j, m], "z"))
-    total = UniPoly((), "z")
-    for nu in range(m * k + 1):
-        d = _d_row(power, m * k - nu)
-        inner = UniPoly((), "z")
-        for j, dj in enumerate(d):
-            if dj:
-                inner = inner + dj * products[j]
-        total = total + UniPoly.monomial(1, nu, "z") * inner
-    return total * Fraction(1, factorial(k) * factorial(length))
+    # regrouped as sum_j products[j] * D_j(z), D_j = sum_nu d_j^{(mk-nu)} z^nu
+    ladder = _one_minus_y_powers(m * k)
+    rows = [_d_row(power, m * k - nu, ladder) for nu in range(m * k + 1)]
+    weight = Fraction(1, factorial(k) * factorial(length))
+    return dot(((products[j], UniPoly([row[j] for row in rows], "z"), weight)
+                for j in range(m * k + 1)), "z")
 
 
 ROUTES: dict[str, Callable[[int, int], UniPoly]] = {
@@ -239,11 +240,10 @@ def multisum_power(k: int, n: int) -> list[UniPoly]:
     base = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
     power = base
     for _ in range(n - 1):
-        out = [UniPoly((), "y")] * (len(power) + k)
-        for i, p in enumerate(power):
-            for j, b in enumerate(base, i):
-                out[j] = out[j] + p * b
-        power = out
+        top = len(power) - 1
+        power = [dot(((power[i], base[t - i], 1)
+                      for i in range(max(0, t - k), min(t, top) + 1)), "y")
+                 for t in range(top + k + 1)]
     return power
 
 
@@ -269,18 +269,30 @@ class DCoeffTable(namedtuple("DCoeffTable", "n k nu d")):
     __slots__ = ()
 
 
-def _d_row(power: list[UniPoly], nu: int) -> tuple[int, ...]:
+def _one_minus_y_powers(top: int) -> list[UniPoly]:
+    # [(1-y)^0, ..., (1-y)^top], one multiply per step
+    ladder = [UniPoly.constant(1, "y")]
+    step = UniPoly([1, -1], "y")
+    for _ in range(top):
+        ladder.append(ladder[-1] * step)
+    return ladder
+
+
+def _d_row(power: list[UniPoly], nu: int,
+           ladder: list[UniPoly]) -> tuple[int, ...]:
     # coefficients of (1-y)^{nk-nu} * power[nu], padded to length nk+1,
-    # where power = multisum_power(k, n) has nk+1 entries
+    # where power = multisum_power(k, n) has nk+1 entries and ladder holds
+    # the powers of (1-y) through the nk-nu-th
     size = len(power)
-    poly = UniPoly([1, -1], "y") ** (size - 1 - nu) * power[nu]
+    poly = ladder[size - 1 - nu] * power[nu]
     return (poly.integer_coeffs() + (0,) * size)[:size]
 
 
 def d_coeffs(n: int, k: int, nu: int) -> DCoeffTable:
     if not 0 <= nu <= n * k:
         raise ValueError("need 0 <= nu <= n*k")
-    return DCoeffTable(n, k, nu, _d_row(multisum_power(k, n), nu))
+    return DCoeffTable(n, k, nu, _d_row(multisum_power(k, n), nu,
+                                        _one_minus_y_powers(n * k - nu)))
 
 
 # ---------------------------------------------------------------------------
@@ -835,9 +847,8 @@ def verify_bernoulli_cache(m: int) -> VerificationReport:
             inverse = memo["x/(e^x-1)"] = x_over_expm1_pow(
                 1, max(m, len(bernoulli_cache.polys) - 1))
     exp = exp_zx(m)
-    independent = factorial(m) * sum(
-        (inverse.coefficient(i) * exp.coefficient(m - i)
-         for i in range(m + 1)), UniPoly((), "z"))
+    independent = dot(((inverse.coefficient(i), exp.coefficient(m - i),
+                        factorial(m)) for i in range(m + 1)), "z")
     if cached != independent:
         return _report("bernoulli-cache", params, False,
                        f"cached {cached!r} != series value {independent!r}")

@@ -5,10 +5,13 @@ common denominator: coefficient i is ``nums[i] / den``.  The form is
 canonical (trailing zeros stripped, ``gcd(den, *nums) == 1``, and the zero
 polynomial has ``den == 1``), so equality and hashing compare integers, and
 the arithmetic runs on plain ``int``s with one gcd normalisation when a
-result is built.  ``coeffs`` presents the coefficients as reduced
-``fractions.Fraction``s; it is built on first use and cached.  Each
-polynomial carries a symbolic variable tag ("z" or "y"); the tag is metadata
-for display, but mixing tags in a binary operation is rejected as a bug.
+result is built.  ``dot`` forms a whole sum of products that way: every
+product goes into one integer list over one common denominator, so a
+convolution costs one normalisation instead of one per ``*`` and ``+``.
+``coeffs`` presents the coefficients as reduced ``fractions.Fraction``s; it
+is built on first use and cached.  Each polynomial carries a symbolic
+variable tag ("z" or "y"); the tag is metadata for display, but mixing tags
+in a binary operation is rejected as a bug.
 
 tests/test_kernel_reference.py checks this kernel against a small
 ``Fraction`` reference that shares no code with it.
@@ -114,11 +117,11 @@ class UniPoly:
 
     def coefficient(self, i: int) -> Fraction:
         if 0 <= i < len(self.nums):
-            return self.coeffs[i]
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.nums else Fraction(0)
+        return Fraction(self.nums[-1], self.den) if self.nums else Fraction(0)
 
     def constant_coefficient(self) -> Fraction:
         return self.coefficient(0)
@@ -150,10 +153,11 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)!r}, var={self.var!r})"
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other, self.var)
+        # UniPoly first: a miss on Fraction goes through ABCMeta, which is slow
         if not isinstance(other, UniPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = UniPoly.constant(other, self.var)
         self._check_var(other)
         a, b = self.nums, other.nums
         da, db = self.den, other.den
@@ -176,10 +180,10 @@ class UniPoly:
         return UniPoly._build([-c for c in self.nums], self.den, self.var)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other, self.var)
         if not isinstance(other, UniPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = UniPoly.constant(other, self.var)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -192,10 +196,7 @@ class UniPoly:
             if not a or not b:
                 return UniPoly._build([], 1, self.var)
             out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
+            _mul_add(out, a, b, 1)
             return UniPoly._build(out, self.den * other.den, self.var)
         if isinstance(other, (int, Fraction)):
             s = other.numerator
@@ -288,6 +289,47 @@ class UniPoly:
 
     def is_divisible_by(self, d: "UniPoly") -> bool:
         return not self.div_rem(d)[1]
+
+
+def _mul_add(out: list[int], a: Sequence[int], b: Sequence[int],
+             scale: int) -> None:
+    # out[i + j] += scale * a[i] * b[j]: the one convolution loop of the
+    # package, with the shorter operand outside and the scale applied to it
+    if len(a) > len(b):
+        a, b = b, a
+    if scale != 1:
+        a = [x * scale for x in a]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+
+
+def dot(terms: Iterable[tuple[UniPoly, UniPoly, int | Fraction]],
+        var: str) -> UniPoly:
+    """sum of w * p * q over the (p, q, w) triples, as one polynomial in var.
+
+    Every product is scaled to one common denominator, the lcm of the
+    p.den * q.den * w.denominator, and added into one integer list, so the
+    result is normalised once.  A triple with a zero p, q or w adds nothing;
+    the empty sum is the zero polynomial.  Every p and q must be in var.
+    """
+    live = []
+    for p, q, w in terms:
+        if p.var != var or q.var != var:
+            raise ValueError(
+                f"variable mismatch: {p.var!r} * {q.var!r} in a sum over "
+                f"{var!r}")
+        if p.nums and q.nums and w:
+            live.append((p.nums, q.nums, w.numerator,
+                         p.den * q.den * w.denominator))
+    if not live:
+        return UniPoly._build([], 1, var)
+    den = math.lcm(*[d for _, _, _, d in live])
+    out = [0] * (max(len(a) + len(b) for a, b, _, _ in live) - 1)
+    for a, b, s, d in live:
+        _mul_add(out, a, b, s * (den // d))
+    return UniPoly._build(out, den, var)
 
 
 def falling_product(a: int, b: int, length: int, var: str = "z") -> UniPoly:

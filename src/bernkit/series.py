@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .polycore import UniPoly, factorial
+from .polycore import UniPoly, dot, factorial
 from .specialfns import bernoulli_poly, eulerian_poly
 
 
@@ -55,11 +55,14 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
 
     def _promote(self, other):
-        if isinstance(other, (int, Fraction)):
+        # series and UniPoly first: a miss on Fraction goes through ABCMeta
+        if isinstance(other, TruncSeries):
+            return other
+        if not isinstance(other, UniPoly):
+            if not isinstance(other, (int, Fraction)):
+                return other
             other = UniPoly.constant(other, self.var)
-        if isinstance(other, UniPoly):
-            return TruncSeries(self.order, [other], self.var)
-        return other
+        return TruncSeries(self.order, [other], self.var)
 
     def __add__(self, other):
         other = self._promote(other)
@@ -85,22 +88,16 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
+        if not isinstance(other, TruncSeries):
+            if not isinstance(other, (UniPoly, int, Fraction)):
+                return NotImplemented
             return TruncSeries(
                 self.order, [c * other for c in self.coeffs], self.var)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
         n = min(self.order, other.order)
-        out = [UniPoly((), self.var) for _ in range(n + 1)]
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(n, out, self.var)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(
+            n, [dot(((a[i], b[m - i], 1) for i in range(m + 1)), self.var)
+                for m in range(n + 1)], self.var)
 
     __rmul__ = __mul__
 
@@ -135,12 +132,10 @@ class TruncSeries:
         g = [h0 ** a if a > 0 else
              UniPoly.constant(h0.coefficient(0) ** a, self.var)]
         for m in range(1, top + 1):
-            acc = UniPoly((), self.var)
-            for j in support:
-                if j > m:
-                    break
-                if g[m - j]:
-                    acc = acc + h[j] * g[m - j] * ((a + 1) * j - m)
+            # integer weights: scaling the sum once is cheaper than a
+            # Fraction weight per term
+            acc = dot(((h[j], g[m - j], (a + 1) * j - m)
+                       for j in support if j <= m), self.var)
             if scalar:
                 g.append(acc * (1 / (m * h0.coefficient(0))))
                 continue

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bernkit.polycore import NEG_INFINITY, UniPoly  # noqa: E402
+from bernkit.polycore import NEG_INFINITY, UniPoly, dot  # noqa: E402
 
 
 class RefPoly:
@@ -112,6 +112,39 @@ def test_scalar_operations_match_reference(a, s):
                       (s - p, RefPoly([s]) - r)):
         assert_canonical(got)
         assert same(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(coeff_lists, coeff_lists, scalars), max_size=6))
+def test_dot_matches_sum_of_reference_products(terms):
+    got = dot(((UniPoly(a, "y"), UniPoly(b, "y"), w) for a, b, w in terms),
+              "y")
+    want = RefPoly([])
+    for a, b, w in terms:
+        want = want + RefPoly(a) * RefPoly(b) * w
+    assert_canonical(got)
+    assert got.var == "y"
+    assert same(got, want)
+    top = len(want.cs)
+    assert [got.coefficient(i) for i in range(top + 1)] == want.cs + [0]
+    assert got.leading_coefficient() == (want.cs[-1] if want.cs else 0)
+
+
+def test_dot_of_nothing_is_the_zero_polynomial():
+    p = UniPoly([Fraction(1, 3), 2])
+    for terms in ([], [(p, UniPoly(), 5), (UniPoly(), p, 1), (p, p, 0),
+                       (p, -p, Fraction(1, 7)), (p, p, Fraction(1, 7))]):
+        got = dot(terms, "z")
+        assert (got.nums, got.den, got.var) == ((), 1, "z")
+    assert dot([], "y") == UniPoly((), "y")
+
+
+def test_dot_rejects_a_variable_mismatch():
+    z, y = UniPoly([1, Fraction(1, 3)], "z"), UniPoly([2, 1], "y")
+    for terms in ([(z, y, 1)], [(y, z, 1)], [(y, y, 1)],
+                  [(z, z, 1), (z, y, 0)], [(UniPoly((), "y"), z, 1)]):
+        with pytest.raises(ValueError):
+            dot(terms, "z")
 
 
 @settings(max_examples=60, deadline=None)

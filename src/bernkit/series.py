@@ -157,26 +157,11 @@ class TruncSeries:
         return self ** -1
 
 
-def poly_at_series(p: UniPoly, s: TruncSeries) -> TruncSeries:
-    """Evaluate the polynomial p at a series argument (Horner)."""
-    acc = TruncSeries(s.order, (), s.var)
-    for c in reversed(p.coeffs):
-        acc = acc * s + c
-    return acc
-
-
 def exp_zx(order: int) -> TruncSeries:
     """e^{zx}: coefficient of x^m is z^m/m!."""
     return TruncSeries(
         order, [UniPoly.monomial(Fraction(1, factorial(m)), m, "z")
                 for m in range(order + 1)])
-
-
-def exp_x(order: int, var: str = "z") -> TruncSeries:
-    """e^x as a series with constant polynomial coefficients 1/m!."""
-    return TruncSeries(
-        order, [UniPoly.constant(Fraction(1, factorial(m)), var)
-                for m in range(order + 1)], var)
 
 
 def x_over_expm1_pow(r: int, order: int, var: str = "z") -> TruncSeries:

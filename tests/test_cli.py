@@ -232,6 +232,41 @@ def test_verify_all_output_matches_pinned_digest(capsys, extra, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["seq", "a", "--count", "300"],
+     "a57b29e768b6067b4cc2505fa110fd3ac8d6becd581ff7e2b26b530f32f92c09"),
+    (["seq", "c", "--count", "60"],
+     "4bb61cf0d84f30665c5e6d27e51d776fcbc15f5fe30986ab58869d837b02333b"),
+    (["seq", "c3", "--count", "80"],
+     "18ac0a615b1fdbfc239ed9b66331488e04f5b19d1f96f36bc0e16ef67d50db52"),
+    (["table", "3"],
+     "8d8b2b38e77511bd0afd608289f13f898b253fb949a1aa1b842764716ff1e282"),
+])
+def test_sequence_output_matches_pinned_digest(capsys, argv, digest):
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_cor10_fails_on_corrupted_two_step_value(capsys, monkeypatch):
+    from bernkit import convolution
+    two_step = convolution.a_sequence
+
+    def corrupted(count):
+        a = two_step(count)
+        if count > 3:
+            a[3] += 1
+        return a
+
+    monkeypatch.setattr(convolution, "a_sequence", corrupted)
+    code, out = run(["verify", "cor10"], capsys)
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL cor10 n=3 :: two-step recurrence a_3 = 106 != "
+                     "cubic recurrence 105"]
+    assert out.splitlines()[-1] == "4/5 checks passed"
+
+
 def test_verify_all_output_ignores_cache_history(capsys):
     from bernkit.specialfns import bernoulli_cache
     code, before = run(["verify", "all"], capsys)

@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from bernkit.convolution import (a_closed_even, a_sequence,
+from bernkit.convolution import (a_closed_even, a_sequence, a_sequence_cubic,
                                  c3_recurrence_residual, c3_sequence,
                                  c_sequence, coeff_z_thm8, seq_a, seq_c,
                                  seq_c3, seq_checks)
 from bernkit.polycore import binomial, factorial
 
 
-def a_sequence_cubic(count):
-    # the recurrence summed afresh for every n, O(n^3) in all
+def a_sequence_triple_sum(count):
+    # the cubic recurrence summed afresh for every n, O(n^3) in all
     a = []
     for n in range(count):
         v = 1 if n == 0 else 0
@@ -51,7 +51,21 @@ def test_a_even_closed_form():
 
 
 def test_a_matches_cubic_reference():
-    assert a_sequence(60) == a_sequence_cubic(60)
+    assert a_sequence(60) == a_sequence_cubic(60) == a_sequence_triple_sum(60)
+
+
+def test_a_two_step_recurrence_matches_cubic_through_400():
+    assert a_sequence(400) == a_sequence_cubic(400)
+
+
+def test_a_wrong_recurrence_coefficient_raises(monkeypatch):
+    from bernkit import convolution
+    monkeypatch.setattr(convolution, "_a_ratio",
+                        lambda n: (13 * (3 * n + 2) * (3 * n + 4),
+                                   (n + 2) * (n + 3)))
+    assert a_sequence(2) == [1, 3]          # no step taken yet
+    with pytest.raises(ArithmeticError, match="a_2 = 104/6"):
+        a_sequence(3)
 
 
 def test_a_even_closed_form_through_300():
@@ -86,7 +100,7 @@ def test_c3_first_values():
 
 
 def test_c3_matches_double_sum_reference():
-    assert c3_sequence(40) == c3_sequence_double_sum(40)
+    assert c3_sequence(80) == c3_sequence_double_sum(80)
 
 
 def test_c3_matches_formula_through_8():

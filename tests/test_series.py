@@ -5,8 +5,7 @@ import pytest
 
 from bernkit.polycore import UniPoly, factorial
 from bernkit.series import (TruncSeries, build_F_direct, build_F_eulerian,
-                            build_G, exp_x, exp_zx,
-                            poly_at_series, x_over_expm1_pow)
+                            build_G, exp_zx, x_over_expm1_pow)
 from bernkit.specialfns import bernoulli_number, bernoulli_poly
 
 
@@ -126,16 +125,6 @@ def test_bernoulli_generating_function():
     s = x_over_expm1_pow(1, 8) * exp_zx(8)
     for m in range(9):
         assert factorial(m) * s.coefficient(m) == bernoulli_poly(m)
-
-
-def test_poly_at_series():
-    assert poly_at_series(UniPoly.variable("y"), exp_x(5)) == exp_x(5)
-    # A_2(e^x) = e^{2x} + e^x summed by hand through x^4
-    got = poly_at_series(UniPoly([0, 1, 1], "y"), exp_x(4))
-    expected = const_series(
-        [2, 3, Fraction(5, 2), Fraction(3, 2), Fraction(17, 24)], 4)
-    assert got == expected
-    assert poly_at_series(UniPoly([1], "y"), exp_x(3)) == TruncSeries.one(3)
 
 
 def test_build_F_direct_k0_matches_bernoulli():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import convolution as conv
 from .polycore import UniPoly
@@ -112,15 +113,13 @@ def emit_json(doc: dict) -> None:
 # compute
 # ---------------------------------------------------------------------------
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise UsageError(f"target {args.target!r} requires --{name}")
-
-
 def _check_range(cond, message):
     if not cond:
         raise UsageError(message)
+
+
+def _label(params):
+    return " ".join(f"{k}={v}" for k, v in params.items())
 
 
 def _poly_document(obj, params, p, routes=None):
@@ -136,153 +135,133 @@ def _poly_document(obj, params, p, routes=None):
 def _print_poly_result(obj, params, p, fmt, routes=None):
     if fmt == "json":
         emit_json(_poly_document(obj, params, p, routes))
-        return
-    label = " ".join(f"{k}={v}" for k, v in params.items())
-    if routes is None:
-        emit(f"{obj} {label}: {render_poly(p, fmt)}")
+    elif routes is None:
+        emit(f"{obj} {_label(params)}: {render_poly(p, fmt)}")
     else:
         for name, q in routes.items():
-            emit(f"{obj} {label} [{name}]: {render_poly(q, fmt)}")
+            emit(f"{obj} {_label(params)} [{name}]: {render_poly(q, fmt)}")
         agree = len(set(routes.values())) == 1
         emit(f"agreement: {agree}")
 
 
-def cmd_compute(args) -> int:
-    target = args.target
-    fmt = args.fmt
-    if target == "s":
-        _require(args, ["n", "k"])
-        _check_range(args.n >= 1 and args.k >= 0, "need n >= 1 and k >= 0")
-        route = args.route or "direct"
-        names = ["direct", "series"] + (["eulerian"] if args.k >= 1 else [])
-        if route == "all":
-            routes = {name: conv.s_poly(args.n, args.k, name)
-                      for name in names}
-            _print_poly_result("s", {"n": args.n, "k": args.k},
-                               routes["direct"], fmt, routes)
-            return 0
-        if route not in names:
-            raise UsageError(f"route must be one of {names + ['all']}")
-        p = conv.s_poly(args.n, args.k, route)
-        _print_poly_result("s", {"n": args.n, "k": args.k}, p, fmt)
-        return 0
-
-    if target == "F-coeff":
-        _require(args, ["k", "m"])
-        _check_range(args.k >= 0 and args.m >= 0, "need k >= 0 and m >= 0")
-        route = args.route or "direct"
-        names = ["direct"] + (["eulerian"] if args.k >= 1 else [])
-        if route == "all":
-            routes = {name: _f_coefficient(name, args.k, args.m)
-                      for name in names}
-            _print_poly_result("F-coeff", {"k": args.k, "m": args.m},
-                               next(iter(routes.values())), fmt, routes)
-            return 0
-        if route not in names:
-            raise UsageError(f"route must be one of {names + ['all']}")
-        p = _f_coefficient(route, args.k, args.m)
-        _print_poly_result("F-coeff", {"k": args.k, "m": args.m}, p, fmt)
-        return 0
-
-    if target == "multisum":
-        _require(args, ["k", "nu", "n"])
-        _check_range(args.k >= 1 and args.n >= 1 and args.nu >= 0,
-                     "need k >= 1, nu >= 0, n >= 1")
-        route = args.route or "enumeration"
-        funcs = {"enumeration": conv.multisum_poly,
-                 "multinomial": conv.multisum_poly_multinomial,
-                 "power": _multisum_from_power}
-        params = {"k": args.k, "nu": args.nu, "n": args.n}
-        if route == "all":
-            routes = {name: f(args.k, args.nu, args.n)
-                      for name, f in funcs.items()}
-            _print_poly_result("multisum", params,
-                               next(iter(routes.values())), fmt, routes)
-            return 0
-        if route not in funcs:
-            raise UsageError(
-                "route must be enumeration, multinomial, power or all")
-        _print_poly_result("multisum", params,
-                           funcs[route](args.k, args.nu, args.n), fmt)
-        return 0
-
-    if target == "d-coeffs":
-        _require(args, ["n", "k", "nu"])
-        _check_range(args.n >= 1 and args.k >= 1, "need n >= 1 and k >= 1")
-        _check_range(0 <= args.nu <= args.n * args.k,
-                     "need 0 <= nu <= n*k")
-        table = conv.d_coeffs(args.n, args.k, args.nu)
-        params = {"n": args.n, "k": args.k, "nu": args.nu}
-        p = UniPoly(table.d, "y")
-        if fmt == "json":
-            doc = {"object": "d-coeffs", "params": params, "variable": "y",
-                   "coefficients": [fmt_rational(d) for d in table.d]}
-            emit_json(doc)
-        else:
-            label = " ".join(f"{k}={v}" for k, v in params.items())
-            emit(f"d-coeffs {label}: {list(table.d)}")
-            emit(f"as polynomial: {render_poly(p, fmt)}")
-        return 0
-
-    if target == "p":
-        _require(args, ["n"])
-        _check_range(args.n >= 1, "need n >= 1")
-        _print_poly_result("p", {"n": args.n}, conv.p_poly(args.n), fmt)
-        return 0
-
-    if target == "a_jkn":
-        _require(args, ["k", "n"])
-        _check_range(args.k >= 1 and args.n >= 1, "need k >= 1 and n >= 1")
-        route = args.route or "poly"
-        funcs = {"poly": conv.a_jkn, "multinomial": conv.a_jkn_multinomial,
-                 "u": conv.a_jkn_from_u}
-        params = {"k": args.k, "n": args.n}
-        js = ([args.j] if args.j is not None
-              else list(range(args.n * (args.k - 1) + 1)))
-        if args.j is not None:
-            params["j"] = args.j
-        if route == "all":
-            routes = {name: UniPoly([f(args.k, args.n, j) for j in js], "y")
-                      for name, f in funcs.items()}
-            _print_poly_result("a_jkn", params,
-                               next(iter(routes.values())), fmt, routes)
-            return 0
-        if route not in funcs:
-            raise UsageError("route must be poly, multinomial, u or all")
-        values = [funcs[route](args.k, args.n, j) for j in js]
-        if fmt == "json":
-            emit_json({"object": "a_jkn", "params": params, "variable": "y",
-                       "coefficients": [fmt_rational(v) for v in values]})
-        else:
-            label = " ".join(f"{k}={v}" for k, v in params.items())
-            emit(f"a_jkn {label}: {values if args.j is None else values[0]}")
-        return 0
-
-    if target == "u_nu":
-        _require(args, ["k", "n", "nu"])
-        _check_range(args.k >= 1 and args.n >= 1 and args.nu >= 0,
-                     "need k >= 1, n >= 1, nu >= 0")
-        value = conv.u_nu(args.k, args.n, args.nu)
-        params = {"k": args.k, "n": args.n, "nu": args.nu}
-        if fmt == "json":
-            emit_json({"object": "u_nu", "params": params,
-                       "value": fmt_rational(value)})
-        else:
-            label = " ".join(f"{k}={v}" for k, v in params.items())
-            emit(f"u_nu {label}: {value}")
-        return 0
-
-    raise UsageError(f"unknown compute target {target!r}")
+def _print_d_coeffs(obj, params, table, fmt):
+    if fmt == "json":
+        emit_json({"object": obj, "params": params, "variable": "y",
+                   "coefficients": [fmt_rational(d) for d in table.d]})
+    else:
+        emit(f"{obj} {_label(params)}: {list(table.d)}")
+        emit(f"as polynomial: {render_poly(UniPoly(table.d, 'y'), fmt)}")
 
 
-def _multisum_from_power(k: int, nu: int, n: int) -> UniPoly:
-    power = conv.multisum_power(k, n)
-    return power[nu] if nu < len(power) else UniPoly((), "y")
+def _print_a_jkn(obj, params, values, fmt, routes=None):
+    # one route prints the values, every route their polynomial in y
+    if routes is not None:
+        polys = {name: UniPoly(v, "y") for name, v in routes.items()}
+        _print_poly_result(obj, params, UniPoly(values, "y"), fmt, polys)
+    elif fmt == "json":
+        emit_json({"object": obj, "params": params, "variable": "y",
+                   "coefficients": [fmt_rational(v) for v in values]})
+    else:
+        emit(f"{obj} {_label(params)}: "
+             f"{values[0] if 'j' in params else values}")
+
+
+def _print_u_nu(obj, params, value, fmt):
+    if fmt == "json":
+        emit_json({"object": obj, "params": params,
+                   "value": fmt_rational(value)})
+    else:
+        emit(f"{obj} {_label(params)}: {value}")
 
 
 def _f_coefficient(route: str, k: int, m: int) -> UniPoly:
     builder = build_F_direct if route == "direct" else build_F_eulerian
     return builder(k, m).coefficient(m)
+
+
+def _a_jkn_row(f, k: int, n: int, j: int | None) -> list[int]:
+    js = [j] if j is not None else range(n * (k - 1) + 1)
+    return [f(k, n, i) for i in js]
+
+
+#: the integer parameters `compute` takes, in --help order
+PARAMS = ("n", "k", "m", "nu", "j")
+
+#: target -> (required parameters, optional parameters, range rule, usage
+#: message, routes, printer).  The parameters are named in label order, and
+#: every route function takes their values in that order, None for an
+#: optional one not given.  The range rule and the routes are functions of
+#: the parsed arguments; routes(args) maps route names to functions, the
+#: default first, read off the modules per call so that a wrapper (a tracer,
+#: a test's monkeypatch) is the one called.  A target without routes maps
+#: None to its one function and takes no --route.  The printer prints one
+#: route's value, or all of them when given `routes`; None means
+#: `_print_poly_result`.  Plain tuples: a namedtuple class costs start-up.
+TARGETS = {
+    "s": (
+        ("n", "k"), (), lambda a: a.n >= 1 and a.k >= 0,
+        "need n >= 1 and k >= 0",
+        lambda a: {r: partial(conv.s_poly, route=r)
+                   for r in conv.s_routes(a.k)}, None),
+    "F-coeff": (
+        ("k", "m"), (), lambda a: a.k >= 0 and a.m >= 0,
+        "need k >= 0 and m >= 0",
+        lambda a: {r: partial(_f_coefficient, r)
+                   for r in ["direct"] + (["eulerian"] if a.k >= 1 else [])},
+        None),
+    "multisum": (
+        ("k", "nu", "n"), (), lambda a: a.k >= 1 and a.n >= 1 and a.nu >= 0,
+        "need k >= 1, nu >= 0, n >= 1",
+        lambda a: {"enumeration": conv.multisum_poly,
+                   "multinomial": conv.multisum_poly_multinomial,
+                   "power": conv.multisum_poly_power}, None),
+    "d-coeffs": (
+        ("n", "k", "nu"), (),
+        lambda a: a.n >= 1 and a.k >= 1 and 0 <= a.nu <= a.n * a.k,
+        "need n >= 1, k >= 1 and 0 <= nu <= n*k",
+        lambda a: {None: conv.d_coeffs}, _print_d_coeffs),
+    "p": (
+        ("n",), (), lambda a: a.n >= 1, "need n >= 1",
+        lambda a: {None: conv.p_poly}, None),
+    "a_jkn": (
+        ("k", "n"), ("j",), lambda a: a.k >= 1 and a.n >= 1,
+        "need k >= 1 and n >= 1",
+        lambda a: {"poly": partial(_a_jkn_row, conv.a_jkn),
+                   "multinomial": partial(_a_jkn_row, conv.a_jkn_multinomial),
+                   "u": partial(_a_jkn_row, conv.a_jkn_from_u)},
+        _print_a_jkn),
+    "u_nu": (
+        ("k", "n", "nu"), (), lambda a: a.k >= 1 and a.n >= 1 and a.nu >= 0,
+        "need k >= 1, n >= 1, nu >= 0",
+        lambda a: {None: conv.u_nu}, _print_u_nu),
+}
+
+
+def cmd_compute(args) -> int:
+    name = args.target
+    required, optional, valid, usage, routes_for, show = TARGETS[name]
+    names = required + optional
+    for param in required:
+        if getattr(args, param) is None:
+            raise UsageError(f"target {name!r} requires --{param}")
+    routes = routes_for(args)
+    takes = names if None in routes else names + ("route",)
+    for option in PARAMS + ("route",):
+        if option not in takes and getattr(args, option) is not None:
+            raise UsageError(f"target {name!r} does not take --{option}")
+    _check_range(valid(args), usage)
+    values = [getattr(args, param) for param in names]
+    params = {p: v for p, v in zip(names, values) if v is not None}
+    show = show or _print_poly_result
+    route = args.route or next(iter(routes))
+    if route == "all":
+        results = {r: f(*values) for r, f in routes.items()}
+        show(name, params, next(iter(results.values())), args.fmt, results)
+    elif route in routes:
+        show(name, params, routes[route](*values), args.fmt)
+    else:
+        raise UsageError(f"route must be one of {list(routes) + ['all']}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,40 +414,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computation and verification of Bernoulli-"
                     "polynomial convolution identities.")
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", dest="fmt", default="plain",
+                     choices=["plain", "json", "latex"])
 
-    pc = sub.add_parser("compute", help="compute one object exactly")
-    pc.add_argument("target", choices=["s", "F-coeff", "multisum", "d-coeffs",
-                                       "p", "a_jkn", "u_nu"])
-    pc.add_argument("--n", type=int)
-    pc.add_argument("--k", type=int)
-    pc.add_argument("--m", type=int)
-    pc.add_argument("--nu", type=int)
-    pc.add_argument("--j", type=int)
+    pc = sub.add_parser("compute", parents=[fmt],
+                        help="compute one object exactly")
+    pc.add_argument("target", choices=list(TARGETS))
+    for param in PARAMS:
+        pc.add_argument(f"--{param}", type=int)
     pc.add_argument("--route")
-    pc.add_argument("--format", dest="fmt", default="plain",
-                    choices=["plain", "json", "latex"])
     pc.set_defaults(func=cmd_compute)
 
-    pt = sub.add_parser("table", help="regenerate a reference table")
+    pt = sub.add_parser("table", parents=[fmt],
+                        help="regenerate a reference table")
     pt.add_argument("which", type=int, choices=[1, 2, 3])
-    pt.add_argument("--format", dest="fmt", default="plain",
-                    choices=["plain", "json", "latex"])
     pt.set_defaults(func=cmd_table)
 
-    ps = sub.add_parser("seq", help="emit a sequence prefix with checks")
+    ps = sub.add_parser("seq", parents=[fmt],
+                        help="emit a sequence prefix with checks")
     ps.add_argument("name", choices=["c", "a", "c3"])
     ps.add_argument("--count", type=int, required=True)
-    ps.add_argument("--format", dest="fmt", default="plain",
-                    choices=["plain", "json", "latex"])
     ps.set_defaults(func=cmd_seq)
 
-    pv = sub.add_parser("verify", help="run a verification sweep")
+    pv = sub.add_parser("verify", parents=[fmt],
+                        help="run a verification sweep")
     pv.add_argument("suite", choices=list(conv.SUITES) + ["all"])
     pv.add_argument("--n-max", dest="n_max", type=int, default=4)
     pv.add_argument("--k-max", dest="k_max", type=int, default=3)
     pv.add_argument("--sorted", action="store_true")
-    pv.add_argument("--format", dest="fmt", default="plain",
-                    choices=["plain", "json", "latex"])
     pv.set_defaults(func=cmd_verify)
 
     return parser

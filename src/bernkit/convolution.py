@@ -123,6 +123,12 @@ ROUTES: dict[str, Callable[[int, int], UniPoly]] = {
 }
 
 
+def s_routes(k: int) -> list[str]:
+    """The routes to S[n,k] that apply at k, "direct" first: the eulerian
+    route needs k >= 1."""
+    return ["direct", "series"] + (["eulerian"] if k >= 1 else [])
+
+
 def s_poly(n: int, k: int, route: str = "direct") -> UniPoly:
     """Dispatch to one of the three routes ("direct", "series", "eulerian").
 
@@ -245,6 +251,17 @@ def multisum_power(k: int, n: int) -> list[UniPoly]:
                       for i in range(max(0, t - k), min(t, top) + 1)), "y")
                  for t in range(top + k + 1)]
     return power
+
+
+def multisum_poly_power(k: int, nu: int, n: int) -> UniPoly:
+    """S^{(n)}_{k,nu}(y) read as row nu of multisum_power(k, n), the zero
+    polynomial for nu > nk.  Inside a `per_run_memo` block the power is
+    built once per (k, n)."""
+    if nu < 0:
+        raise ValueError("need nu >= 0")
+    power = _once_per_run(("multisum_power", k, n),
+                          lambda: multisum_power(k, n))
+    return power[nu] if nu < len(power) else UniPoly((), "y")
 
 
 def lemma5_coeffs(k: int, nu: int, n: int) -> tuple[int, int, int]:
@@ -611,13 +628,13 @@ def seq_checks(table: SeqTable) -> dict[str, bool]:
 # quotient polynomials p_n(z)
 # ---------------------------------------------------------------------------
 
-def p_poly(n: int, route: str = "series") -> UniPoly:
+def p_poly(n: int) -> UniPoly:
     """p_n(z): S[n,1](z) divided by z(z-1) B_n^{(n+1)}((n+1)z), normalized to
     constant coefficient 1.  Raises if the division leaves a remainder or if
     the pre-normalization constant coefficient is zero."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = s_poly(n, 1, route)
+    s = s_poly(n, 1, "series")
     divisor = (UniPoly([0, 1], "z") * UniPoly([-1, 1], "z")
                * higher_bernoulli_poly(n, n + 1).compose_affine(n + 1, 0))
     q, r = s.div_rem(divisor)
@@ -711,11 +728,8 @@ def verify_thm6(n: int, k: int, route: str = "series") -> VerificationReport:
 def verify_routes(n: int, k: int) -> VerificationReport:
     """Exact agreement of every applicable route."""
     params = [("n", n), ("k", k)]
-    polys = {"direct": s_poly(n, k, "direct"),
-             "series": s_poly(n, k, "series")}
-    if k >= 1:
-        polys["eulerian"] = s_poly(n, k, "eulerian")
-    names = list(polys)
+    names = s_routes(k)
+    polys = {name: s_poly(n, k, name) for name in names}
     base = polys[names[0]]
     for name in names[1:]:
         if polys[name] != base:
@@ -757,12 +771,13 @@ def verify_lemma5(k: int, nu: int, n: int) -> VerificationReport:
     """Closed coefficient values of the multisum polynomial, plus agreement
     of its independent computations.
 
-    The closed values are read from multisum_power(k, n), built once per
-    (k, n) inside a sweep, and that polynomial must equal the multinomial
-    computation.  Where the point has at most LEMMA5_ENUMERATION_BUDGET
-    compositions (the whole default grid) the composition enumeration must
-    equal them too, so three computations are compared; above the budget
-    the enumeration is skipped and two are compared.
+    The closed values are read from multisum_poly_power, whose power is
+    built once per (k, n) inside a sweep, and that polynomial must equal the
+    multinomial computation.  Where the point has at most
+    LEMMA5_ENUMERATION_BUDGET compositions (the whole default grid) the
+    composition enumeration must equal them too, so three computations are
+    compared; above the budget the enumeration is skipped and two are
+    compared.
     """
     params = [("k", k), ("nu", nu), ("n", n)]
     q = multisum_poly_multinomial(k, nu, n)
@@ -771,9 +786,7 @@ def verify_lemma5(k: int, nu: int, n: int) -> VerificationReport:
         if e != q:
             return _report("lemma5", params, False,
                            f"enumeration vs multinomial differ: {e - q!r}")
-    power = _once_per_run(("multisum_power", k, n),
-                          lambda: multisum_power(k, n))
-    p = power[nu] if nu < len(power) else UniPoly((), "y")
+    p = multisum_poly_power(k, nu, n)
     if p != q:
         return _report("lemma5", params, False,
                        f"power vs multinomial differ: {p - q!r}")

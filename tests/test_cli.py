@@ -140,6 +140,19 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["compute", "nonsense"]) == 2
     capsys.readouterr()
+    # an option the target does not take is refused, not ignored
+    for argv, option in [
+            (["p", "--n", "3", "--route", "bogus"], "route"),
+            (["u_nu", "--k", "1", "--n", "2", "--nu", "2", "--route", "all"],
+             "route"),
+            (["d-coeffs", "--n", "3", "--k", "1", "--nu", "0",
+              "--route", "power"], "route"),
+            (["s", "--n", "2", "--k", "1", "--j", "5"], "j"),
+            (["F-coeff", "--k", "1", "--m", "2", "--nu", "7"], "nu")]:
+        assert main(["compute"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"target {argv[0]!r} does not take --{option}" in captured.err
     assert main(["verify", "thm1", "--n-max", "0"]) == 2
     capsys.readouterr()
     assert main([]) == 2
@@ -246,6 +259,76 @@ def test_sequence_output_matches_pinned_digest(capsys, argv, digest):
     code, out = run(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: per compute target: every route name, `all`, the default, a bad route and
+#: the edge points, plus one missing and one out-of-range argument
+COMPUTE_MATRIX = {
+    "s": [["--n", "2", "--k", "2"]]
+    + [["--n", "2", "--k", "2", "--route", r]
+       for r in ("direct", "series", "eulerian", "all", "bogus")]
+    + [["--n", "2", "--k", "0"]]
+    + [["--n", "2", "--k", "0", "--route", r]
+       for r in ("series", "eulerian", "all")]
+    + [["--k", "1"], ["--n", "0", "--k", "1"]],
+    "F-coeff": [["--k", "2", "--m", "3"]]
+    + [["--k", "2", "--m", "3", "--route", r]
+       for r in ("direct", "eulerian", "all", "bogus")]
+    + [["--k", "0", "--m", "3"]]
+    + [["--k", "0", "--m", "3", "--route", r] for r in ("eulerian", "all")]
+    + [["--m", "3"], ["--k", "-1", "--m", "3"]],
+    "multisum": [["--k", "2", "--nu", "3", "--n", "2"]]
+    + [["--k", "2", "--nu", "3", "--n", "2", "--route", r]
+       for r in ("enumeration", "multinomial", "power", "all", "bogus")]
+    + [["--k", "2", "--nu", nu, "--n", "2", "--route", r]
+       for nu in ("0", "5") for r in ("enumeration", "power", "all")]
+    + [["--k", "2", "--n", "2"], ["--k", "0", "--nu", "1", "--n", "2"]],
+    "d-coeffs": [["--n", "3", "--k", "1", "--nu", "0"],
+                 ["--n", "2", "--k", "2", "--nu", "2"],
+                 ["--n", "2", "--k", "2", "--nu", "4"],
+                 ["--n", "2", "--k", "2"],
+                 ["--n", "2", "--k", "0", "--nu", "0"],
+                 ["--n", "2", "--k", "2", "--nu", "5"]],
+    "p": [["--n", "1"], ["--n", "3"], [], ["--n", "0"]],
+    "a_jkn": [["--k", "3", "--n", "2"]]
+    + [["--k", "3", "--n", "2", "--route", r]
+       for r in ("poly", "multinomial", "u", "all", "bogus")]
+    + [["--k", "3", "--n", "2", "--j", "1"]]
+    + [["--k", "3", "--n", "2", "--j", "1", "--route", r]
+       for r in ("poly", "multinomial", "u", "all")]
+    + [["--k", "3"], ["--k", "0", "--n", "2"]],
+    "u_nu": [["--k", "1", "--n", "2", "--nu", "2"],
+             ["--k", "2", "--n", "3", "--nu", "4"],
+             ["--k", "2", "--n", "3", "--nu", "0"],
+             ["--k", "2", "--n", "3"], ["--k", "2", "--n", "0", "--nu", "1"]],
+}
+
+
+@pytest.mark.parametrize("target, digest", [
+    ("s",
+     "6e4ede0e1283929004bc18ef75d48271a73f017a5a2dfaa3cc592d53e8c2a638"),
+    ("F-coeff",
+     "991f85726d10e92c52e0d85c60d0111e1d2ad8434cdaa57a8bef5ed608d5df58"),
+    ("multisum",
+     "f3684e8cebf6428ddc73e56509d12426400aa26e30ad0702123db862b68ffbce"),
+    ("d-coeffs",
+     "c1177ea7452dab542d2eeaf93c4fac619611ffed85bfc62ed9d3816b48ed71dd"),
+    ("p",
+     "cf5a050ba0566eb2345dd95a82dd417747f410bc57a8f4ebd8d7b7244e534f83"),
+    ("a_jkn",
+     "8b9b22f2c1bd3b2923f020e1d1ddd4e8ba7d0ec59d8f85d238513488b32add12"),
+    ("u_nu",
+     "2af67478ad7e418a668fa67c2c1d2bf765b8b842e93dba5b820d96830a626c77"),
+])
+def test_compute_output_matches_pinned_digest(capsys, target, digest):
+    # stdout and exit code of every matrix row, in all three formats
+    record = []
+    for fmt in ("plain", "json", "latex"):
+        for tail in COMPUTE_MATRIX[target]:
+            code, out = run(["compute", target] + tail + ["--format", fmt],
+                            capsys)
+            record.append(f"{code}\n{out}")
+    assert hashlib.sha256("".join(record).encode()).hexdigest() == digest
 
 
 def test_verify_cor10_fails_on_corrupted_two_step_value(capsys, monkeypatch):

@@ -8,7 +8,8 @@ from bernkit.convolution import (Check, DCoeffTable, SeqTable,
                                  a_jkn_multinomial, coeff_z_closed,
                                  coeff_z_formula, coeff_z_thm8, d_coeffs,
                                  degree_check, lemma5_coeffs, multisum_poly,
-                                 multisum_poly_multinomial, multisum_power,
+                                 multisum_poly_multinomial,
+                                 multisum_poly_power, multisum_power,
                                  p_poly, s_direct,
                                  s_eulerian, s_series, theorem1_divisor,
                                  u_from_a_series, u_nu, verify_corollary,
@@ -126,6 +127,10 @@ def test_multisum_power_matches_both_computations():
             for nu, p in enumerate(power):
                 assert p == multisum_poly(k, nu, n), (k, nu, n)
                 assert p == multisum_poly_multinomial(k, nu, n), (k, nu, n)
+                assert p == multisum_poly_power(k, nu, n), (k, nu, n)
+            assert not multisum_poly_power(k, n * k + 1, n)
+    with pytest.raises(ValueError):
+        multisum_poly_power(2, -1, 3)
 
 
 @pytest.mark.parametrize("n,k", [(6, 5), (8, 2), (10, 4)])

@@ -122,9 +122,12 @@ def _label(params):
     return " ".join(f"{k}={v}" for k, v in params.items())
 
 
+def _poly_fields(p):
+    return {"variable": p.var, "coefficients": poly_coeff_strings(p)}
+
+
 def _poly_document(obj, params, p, routes=None):
-    doc = {"object": obj, "params": params, "variable": p.var,
-           "coefficients": poly_coeff_strings(p)}
+    doc = {"object": obj, "params": params, **_poly_fields(p)}
     if routes is not None:
         doc["routes"] = {name: poly_coeff_strings(q)
                          for name, q in routes.items()}
@@ -277,60 +280,42 @@ def _latex_tabular(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+#: table number -> (object name, LaTeX header, rows), where rows() gives
+#: (params, {name: poly}) pairs in print order.  A row of one polynomial
+#: prints it bare; a row of several names each one.
+TABLES = {
+    1: ("table1", ["$k$", "$n$", "$S_{n,k}(z)$"],
+        lambda: [({"k": k, "n": n}, {"S": conv.s_direct(n, k)})
+                 for k in (1, 2) for n in range(1, 5)]),
+    2: ("table2", ["$k$", "$B_k(z)$", "$A_k(y)$"],
+        lambda: [({"k": k}, {"B": bernoulli_poly(k), "A": eulerian_poly(k)})
+                 for k in range(7)]),
+    3: ("table3", ["$n$", "$p_n(z)$"],
+        lambda: [({"n": n}, {"p": conv.p_poly(n)}) for n in range(1, 7)]),
+}
+
+
 def cmd_table(args) -> int:
-    fmt = args.fmt
-    if args.which == 1:
-        entries = [(k, n, conv.s_direct(n, k))
-                   for k in (1, 2) for n in range(1, 5)]
-        if fmt == "json":
-            emit_json({"object": "table1", "entries": [
-                {"k": k, "n": n, "variable": "z",
-                 "coefficients": poly_coeff_strings(p)}
-                for k, n, p in entries]})
-        elif fmt == "latex":
-            emit(_latex_tabular(
-                ["$k$", "$n$", "$S_{n,k}(z)$"],
-                [[str(k), str(n), f"${poly_latex(p)}$"]
-                 for k, n, p in entries]))
-        else:
-            for k, n, p in entries:
-                emit(f"k={k} n={n}: {poly_plain(p)}")
-        return 0
-
-    if args.which == 2:
-        rows = [(k, bernoulli_poly(k), eulerian_poly(k)) for k in range(7)]
-        if fmt == "json":
-            emit_json({"object": "table2", "entries": [
-                {"k": k,
-                 "B": {"variable": "z", "coefficients": poly_coeff_strings(b)},
-                 "A": {"variable": "y", "coefficients": poly_coeff_strings(a)}}
-                for k, b, a in rows]})
-        elif fmt == "latex":
-            emit(_latex_tabular(
-                ["$k$", "$B_k(z)$", "$A_k(y)$"],
-                [[str(k), f"${poly_latex(b)}$", f"${poly_latex(a)}$"]
-                 for k, b, a in rows]))
-        else:
-            for k, b, a in rows:
-                emit(f"k={k}: B = {poly_plain(b)}   A = {poly_plain(a)}")
-        return 0
-
-    if args.which == 3:
-        rows = [(n, conv.p_poly(n)) for n in range(1, 7)]
-        if fmt == "json":
-            emit_json({"object": "table3", "entries": [
-                {"n": n, "variable": "z",
-                 "coefficients": poly_coeff_strings(p)} for n, p in rows]})
-        elif fmt == "latex":
-            emit(_latex_tabular(
-                ["$n$", "$p_n(z)$"],
-                [[str(n), f"${poly_latex(p)}$"] for n, p in rows]))
-        else:
-            for n, p in rows:
-                emit(f"n={n}: {poly_plain(p)}")
-        return 0
-
-    raise UsageError("table number must be 1, 2 or 3")
+    obj, header, rows_for = TABLES[args.which]
+    rows = rows_for()
+    if args.fmt == "json":
+        emit_json({"object": obj, "entries": [
+            {**params, **(_poly_fields(*polys.values()) if len(polys) == 1
+                          else {name: _poly_fields(p)
+                                for name, p in polys.items()})}
+            for params, polys in rows]})
+    elif args.fmt == "latex":
+        emit(_latex_tabular(header, [
+            [str(v) for v in params.values()]
+            + [f"${poly_latex(p)}$" for p in polys.values()]
+            for params, polys in rows]))
+    else:
+        for params, polys in rows:
+            cells = [poly_plain(p) if len(polys) == 1
+                     else f"{name} = {poly_plain(p)}"
+                     for name, p in polys.items()]
+            emit(f"{_label(params)}: {'   '.join(cells)}")
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ sequences attached to their linear coefficients.
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -400,13 +399,14 @@ def a_jkn_from_u(k: int, n: int, j: int) -> int:
 # coefficient of z in S[n,k](z)
 # ---------------------------------------------------------------------------
 
-def coeff_z_formula(n: int, k: int) -> Fraction:
-    """The alternating-sum formula for the z-coefficient of S[n,k](z):
+def coeff_z_thm8(n: int, k: int) -> Fraction:
+    """The z-coefficient of S[n,k](z) by the alternating-sum formula:
 
     ((-1)^{k(n+1)-1} (n+1) / (k! ((k+1)(n+1)-1)!))
         * sum_j (-1)^j a_j^{(k,n+1)} (n+j)! (k(n+1)-1-j)!
 
-    evaluated for any parity of (n, k).
+    evaluated for any parity of (n, k); it is 0 when n and k are both even
+    (S is then divisible by z^2).
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -425,24 +425,6 @@ def _factorials(top: int) -> list[int]:
     for i in range(1, top + 1):
         fact.append(fact[-1] * i)
     return fact
-
-
-def coeff_z_thm8(n: int, k: int) -> Fraction:
-    """Coefficient of z in S[n,k](z).
-
-    For n and k both even the coefficient is 0 (S is divisible by z^2); the
-    raw formula is still evaluated as a cross-check and any nonzero value is
-    reported loudly rather than dropped.
-    """
-    raw = coeff_z_formula(n, k)
-    if n % 2 == 0 and k % 2 == 0:
-        if raw != 0:
-            warnings.warn(
-                f"z-coefficient formula gave nonzero value {raw} for even "
-                f"pair (n={n}, k={k}) where divisibility forces 0",
-                RuntimeWarning, stacklevel=2)
-        return Fraction(0)
-    return raw
 
 
 def coeff_z_closed(n: int, k: int) -> Fraction:
@@ -649,7 +631,9 @@ def p_poly(n: int) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# verification
+# verification: each verify_* function checks one statement at one parameter
+# tuple and returns None when it holds, else a witness string saying what
+# failed; run_suite turns the results into VerificationReport records
 # ---------------------------------------------------------------------------
 
 class VerificationReport(namedtuple("VerificationReport",
@@ -669,38 +653,28 @@ class VerificationReport(namedtuple("VerificationReport",
         return " ".join(f"{k}={v}" for k, v in self.params)
 
 
-def _report(statement, params, passed, witness=None):
-    return VerificationReport(statement, tuple(params), passed,
-                              witness if not passed else None)
-
-
 def theorem1_divisor(n: int) -> UniPoly:
     """z * prod_{j=1}^{n+1} ((n+1)z - j)."""
     return UniPoly([0, 1], "z") * falling_product(n + 1, 0, n + 1)
 
 
-def verify_thm1(n: int, k: int, route: str = "series") -> VerificationReport:
+def verify_thm1(n: int, k: int, route: str = "series") -> str | None:
     """Symmetry S(1-z) = (-1)^{(k+1)(n+1)-1} S(z) and divisibility by
     z prod_{j=1}^{n+1}((n+1)z - j)."""
-    params = [("n", n), ("k", k)]
     s = s_poly(n, k, route)
     sign = (-1) ** ((k + 1) * (n + 1) - 1)
     reflected = s.compose_affine(-1, 1)
     if reflected != sign * s:
-        return _report("thm1", params, False,
-                       f"symmetry fails: S(1-z) - ({sign})*S(z) = "
-                       f"{reflected - sign * s!r}")
+        return (f"symmetry fails: S(1-z) - ({sign})*S(z) = "
+                f"{reflected - sign * s!r}")
     _, r = s.div_rem(theorem1_divisor(n))
     if r:
-        return _report("thm1", params, False,
-                       f"division remainder {r!r}")
-    return _report("thm1", params, True)
+        return f"division remainder {r!r}"
+    return None
 
 
-def verify_corollary(n: int, k: int,
-                     route: str = "series") -> VerificationReport:
+def verify_corollary(n: int, k: int, route: str = "series") -> str | None:
     """S(0) = S(1) = 0; additionally S(1/2) = 0 when n or k is odd."""
-    params = [("n", n), ("k", k)]
     s = s_poly(n, k, route)
     points = [Fraction(0), Fraction(1)]
     if n % 2 or k % 2:
@@ -708,49 +682,44 @@ def verify_corollary(n: int, k: int,
     for pt in points:
         val = s(pt)
         if val != 0:
-            return _report("corollary", params, False, f"S({pt}) = {val} != 0")
-    return _report("corollary", params, True)
+            return f"S({pt}) = {val} != 0"
+    return None
 
 
-def verify_thm6(n: int, k: int, route: str = "series") -> VerificationReport:
+def verify_thm6(n: int, k: int, route: str = "series") -> str | None:
     """z^2 (z-1)^2 divides S[n,k](z) for even n and even k."""
     if n % 2 or k % 2:
         raise ValueError("both n and k must be even")
-    params = [("n", n), ("k", k)]
     s = s_poly(n, k, route)
     divisor = (UniPoly([0, 1], "z") * UniPoly([-1, 1], "z")) ** 2
     _, r = s.div_rem(divisor)
     if r:
-        return _report("thm6", params, False, f"remainder {r!r}")
-    return _report("thm6", params, True)
+        return f"remainder {r!r}"
+    return None
 
 
-def verify_routes(n: int, k: int) -> VerificationReport:
+def verify_routes(n: int, k: int) -> str | None:
     """Exact agreement of every applicable route."""
-    params = [("n", n), ("k", k)]
     names = s_routes(k)
     polys = {name: s_poly(n, k, name) for name in names}
     base = polys[names[0]]
     for name in names[1:]:
         if polys[name] != base:
-            return _report("routes", params, False,
-                           f"{names[0]} vs {name}: difference "
-                           f"{polys[name] - base!r}")
-    return _report("routes", params, True)
+            return (f"{names[0]} vs {name}: difference "
+                    f"{polys[name] - base!r}")
+    return None
 
 
-def verify_lemma4(k: int, order: int) -> VerificationReport:
+def verify_lemma4(k: int, order: int) -> str | None:
     """The Eulerian construction of F_k equals the direct one."""
     from .series import build_F_eulerian
-    params = [("k", k), ("N", order)]
     direct = build_F_direct(k, order)
     eulerian = build_F_eulerian(k, order)
     for m in range(order + 1):
         if direct.coefficient(m) != eulerian.coefficient(m):
-            return _report("lemma4", params, False,
-                           f"coefficient of x^{m} differs: "
-                           f"{eulerian.coefficient(m) - direct.coefficient(m)!r}")
-    return _report("lemma4", params, True)
+            return (f"coefficient of x^{m} differs: "
+                    f"{eulerian.coefficient(m) - direct.coefficient(m)!r}")
+    return None
 
 
 #: verify_lemma5 compares the composition enumeration as well wherever the
@@ -767,7 +736,7 @@ def _composition_count(k: int, nu: int, n: int) -> int:
                for i in range(n + 1) if nu - i * (k + 1) >= 0)
 
 
-def verify_lemma5(k: int, nu: int, n: int) -> VerificationReport:
+def verify_lemma5(k: int, nu: int, n: int) -> str | None:
     """Closed coefficient values of the multisum polynomial, plus agreement
     of its independent computations.
 
@@ -779,117 +748,90 @@ def verify_lemma5(k: int, nu: int, n: int) -> VerificationReport:
     compared; above the budget the enumeration is skipped and two are
     compared.
     """
-    params = [("k", k), ("nu", nu), ("n", n)]
     q = multisum_poly_multinomial(k, nu, n)
     if _composition_count(k, nu, n) <= LEMMA5_ENUMERATION_BUDGET:
         e = multisum_poly(k, nu, n)
         if e != q:
-            return _report("lemma5", params, False,
-                           f"enumeration vs multinomial differ: {e - q!r}")
+            return f"enumeration vs multinomial differ: {e - q!r}"
     p = multisum_poly_power(k, nu, n)
     if p != q:
-        return _report("lemma5", params, False,
-                       f"power vs multinomial differ: {p - q!r}")
+        return f"power vs multinomial differ: {p - q!r}"
     c1, c2, c_lead = lemma5_coeffs(k, nu, n)
     if p.coefficient(0) != 0:
-        return _report("lemma5", params, False,
-                       f"nonzero constant term {p.coefficient(0)}")
+        return f"nonzero constant term {p.coefficient(0)}"
     if p.coefficient(1) != c1:
-        return _report("lemma5", params, False,
-                       f"y coefficient {p.coefficient(1)} != {c1}")
+        return f"y coefficient {p.coefficient(1)} != {c1}"
     if nu >= 2 and p.coefficient(2) != c2:
-        return _report("lemma5", params, False,
-                       f"y^2 coefficient {p.coefficient(2)} != {c2}")
+        return f"y^2 coefficient {p.coefficient(2)} != {c2}"
     if p.coefficient(nu) != c_lead:
-        return _report("lemma5", params, False,
-                       f"leading coefficient {p.coefficient(nu)} != {c_lead}")
-    return _report("lemma5", params, True)
+        return f"leading coefficient {p.coefficient(nu)} != {c_lead}"
+    return None
 
 
-def verify_lemma7(k: int, n: int) -> VerificationReport:
+def verify_lemma7(k: int, n: int) -> str | None:
     """Top multisum polynomial equals A_k(y)^n and is divisible by y^n."""
-    params = [("k", k), ("n", n)]
     top = multisum_poly(k, n * k, n)
     power = eulerian_poly(k) ** n
     if top != power:
-        return _report("lemma7", params, False,
-                       f"difference {top - power!r}")
+        return f"difference {top - power!r}"
     _, r = top.div_rem(UniPoly.monomial(1, n, "y"))
     if r:
-        return _report("lemma7", params, False,
-                       f"y^{n} does not divide: remainder {r!r}")
-    return _report("lemma7", params, True)
+        return f"y^{n} does not divide: remainder {r!r}"
+    return None
 
 
-def verify_thm8(n: int, k: int) -> VerificationReport:
+def verify_thm8(n: int, k: int) -> str | None:
     """The alternating-sum formula reproduces the z-coefficient of the
     defining sum (both are 0 when n and k are even)."""
-    params = [("n", n), ("k", k)]
     direct = s_poly(n, k, "direct").coefficient(1)
     formula = coeff_z_thm8(n, k)
-    raw = coeff_z_formula(n, k)
     if formula != direct:
-        return _report("thm8", params, False,
-                       f"formula {formula} != direct {direct}")
-    if raw != direct:
-        return _report("thm8", params, False,
-                       f"raw formula {raw} != direct {direct}")
-    return _report("thm8", params, True)
+        return f"formula {formula} != direct {direct}"
+    return None
 
 
-def verify_cor9(n: int, k: int) -> VerificationReport:
+def verify_cor9(n: int, k: int) -> str | None:
     """Closed-form z-coefficients agree with the alternating-sum formula."""
-    params = [("n", n), ("k", k)]
     closed = coeff_z_closed(n, k)
     formula = coeff_z_thm8(n, k)
     if closed != formula:
-        return _report("cor9", params, False,
-                       f"closed {closed} != formula {formula}")
-    return _report("cor9", params, True)
+        return f"closed {closed} != formula {formula}"
+    return None
 
 
-def verify_cor10(n: int) -> VerificationReport:
+def verify_cor10(n: int) -> str | None:
     """a_n is a positive integer; 1/c_n is even and divisible by 2(3n+2);
     for even n the binomial closed form reproduces a_n.
 
     a_n is read from the two-step recurrence and from the cubic one, which
     must agree; the closed form is compared with the cubic value, so no
     check rests on the two-step ratio alone."""
-    params = [("n", n)]
     a = a_sequence(n + 1)[n]
     cubic = a_sequence_cubic(n + 1)[n]
     if a != cubic:
-        return _report("cor10", params, False,
-                       f"two-step recurrence a_{n} = {a} != cubic "
-                       f"recurrence {cubic}")
+        return f"two-step recurrence a_{n} = {a} != cubic recurrence {cubic}"
     if not (isinstance(a, int) and a > 0):
-        return _report("cor10", params, False, f"a_{n} = {a} not a positive "
-                                               "integer")
+        return f"a_{n} = {a} not a positive integer"
     c = c_sequence(n + 1)[n]
     if c.numerator != 1:
-        return _report("cor10", params, False, f"c_{n} = {c} not a unit "
-                                               "fraction")
+        return f"c_{n} = {c} not a unit fraction"
     if c.denominator % 2 or c.denominator % (2 * (3 * n + 2)):
-        return _report("cor10", params, False,
-                       f"1/c_{n} = {c.denominator} fails divisibility")
+        return f"1/c_{n} = {c.denominator} fails divisibility"
     if n % 2 == 0 and cubic != a_closed_even(n):
-        return _report("cor10", params, False,
-                       f"cubic recurrence a_{n} = {cubic} != closed form "
-                       f"{a_closed_even(n)}")
-    return _report("cor10", params, True)
+        return (f"cubic recurrence a_{n} = {cubic} != closed form "
+                f"{a_closed_even(n)}")
+    return None
 
 
-def verify_polylog(k: int, order: int = 20) -> VerificationReport:
+def verify_polylog(k: int, order: int = 20) -> str | None:
     """Truncated power-sum expansion of A_k(y)/(1-y)^{k+1}."""
     from .specialfns import polylog_neg_check
-    params = [("k", k), ("N", order)]
     if polylog_neg_check(k, order):
-        return _report("eq2.8", params, True)
-    return _report("eq2.8", params, False,
-                   "series expansion disagrees with the power table")
+        return None
+    return "series expansion disagrees with the power table"
 
 
-def verify_bernoulli_cache(m: int) -> VerificationReport:
+def verify_bernoulli_cache(m: int) -> str | None:
     """The cached B_m(z) equals m! [x^m] (x/(e^x-1)) e^{zx}.
 
     The cache is built by the number recurrence, the comparison value by
@@ -900,7 +842,6 @@ def verify_bernoulli_cache(m: int) -> VerificationReport:
     """
     from .series import exp_zx, x_over_expm1_pow
     from .specialfns import bernoulli_cache
-    params = [("m", m)]
     cached = bernoulli_poly(m)
     memo = _run_memo.get()
     if memo is None:
@@ -914,34 +855,24 @@ def verify_bernoulli_cache(m: int) -> VerificationReport:
     independent = dot(((inverse.coefficient(i), exp.coefficient(m - i),
                         factorial(m)) for i in range(m + 1)), "z")
     if cached != independent:
-        return _report("bernoulli-cache", params, False,
-                       f"cached {cached!r} != series value {independent!r}")
-    return _report("bernoulli-cache", params, True)
+        return f"cached {cached!r} != series value {independent!r}"
+    return None
 
 
-def degree_check(n: int, k: int, route: str = "series") -> VerificationReport:
+def degree_check(n: int, k: int, route: str = "series") -> str | None:
     """For even k, deg S[n,k] = (k+1)(n+1) - 1."""
     if k % 2:
         raise ValueError("the degree statement is asserted for even k only")
-    params = [("n", n), ("k", k)]
     s = s_poly(n, k, route)
     expected = (k + 1) * (n + 1) - 1
     if s.degree != expected:
-        return _report("degree", params, False,
-                       f"degree {s.degree} != {expected}")
-    return _report("degree", params, True)
+        return f"degree {s.degree} != {expected}"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # verification sweeps (used by the CLI and the acceptance tests)
 # ---------------------------------------------------------------------------
-
-class Check(namedtuple("Check", "statement params")):
-    """One statement at one parameter tuple.  `params` holds (name, value)
-    pairs; the values are the positional arguments of the statement's
-    verifier, whose report carries the same params."""
-    __slots__ = ()
-
 
 def _bernoulli_top(k_max: int) -> int:
     # B_0..B_top get a report line each, so the line count depends on k_max
@@ -953,9 +884,12 @@ def _n_by_k(n_max: int, k_max: int):
 
 
 #: statement -> (verifier name, parameter names, parameter grid as a function
-#: of (n_max, k_max)), in the order "all" runs them.  The verifier is looked
-#: up on this module by name when a check runs, so a wrapper bound to the
-#: module attribute (a tracer, a test's monkeypatch) is the one called.
+#: of (n_max, k_max)), in the order "all" runs them.  This table is the one
+#: place that names a check and labels its parameters: the grid's tuples are
+#: the verifier's positional arguments, and a report pairs them with the
+#: names.  The verifier is looked up on this module by name when a check
+#: runs, so a wrapper bound to the module attribute (a tracer, a test's
+#: monkeypatch) is the one called.
 SUITE_TABLE = {
     "routes": ("verify_routes", ("n", "k"), _n_by_k),
     "thm1": ("verify_thm1", ("n", "k"), _n_by_k),
@@ -992,48 +926,40 @@ SUITE_TABLE = {
 SUITES = tuple(SUITE_TABLE)[:-1]
 
 
-def suite_checks(suite: str, n_max: int, k_max: int) -> list[Check]:
-    """The checks of a named suite, or of every table row for "all", in
-    report order."""
+def _run_check(statement: str, params: tuple) -> VerificationReport:
+    # one statement at one ((name, value), ...) tuple; a check that raises
+    # becomes a FAIL report whose witness names the exception
+    verify = globals()[SUITE_TABLE[statement][0]]
+    try:
+        witness = verify(*(value for _, value in params))
+    except Exception as exc:
+        witness = f"{type(exc).__name__}: {exc}"
+    return VerificationReport(statement, params, witness is None, witness)
+
+
+def run_suite(suite: str, n_max: int, k_max: int) -> list[VerificationReport]:
+    """One report per check of a named suite, or of every SUITE_TABLE row
+    for "all", in table order.  A check that raises is a FAIL and the sweep
+    goes on.  After every check of "all", each Bernoulli cache entry
+    published above the reported range is verified as well and reported
+    only when it fails, so the output does not depend on what the process
+    computed before, yet a fault anywhere in the cache fails the run.
+    """
     if suite == "all":
         statements = list(SUITE_TABLE)
     elif suite in SUITES:
         statements = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    checks = []
-    for statement in statements:
-        _, names, grid = SUITE_TABLE[statement]
-        checks += [Check(statement, tuple(zip(names, values)))
-                   for values in grid(n_max, k_max)]
-    return checks
-
-
-def run_checks(checks: Iterable[Check]) -> list[VerificationReport]:
-    """One report per check, in order.  A check that raises becomes a FAIL
-    report whose witness names the exception, and the sweep goes on."""
-    reports = []
-    for check in checks:
-        verify = globals()[SUITE_TABLE[check.statement][0]]
-        try:
-            reports.append(verify(*(value for _, value in check.params)))
-        except Exception as exc:
-            reports.append(_report(check.statement, check.params, False,
-                                   f"{type(exc).__name__}: {exc}"))
-    return reports
-
-
-def run_suite(suite: str, n_max: int, k_max: int) -> list[VerificationReport]:
-    """Run a suite's checks.  After every check of "all", each Bernoulli
-    cache entry published above the reported range is verified as well and
-    reported only when it fails, so the output does not depend on what the
-    process computed before, yet a fault anywhere in the cache fails the run.
-    """
     with per_run_memo():
-        reports = run_checks(suite_checks(suite, n_max, k_max))
+        reports = []
+        for statement in statements:
+            _, names, grid = SUITE_TABLE[statement]
+            reports += [_run_check(statement, tuple(zip(names, values)))
+                        for values in grid(n_max, k_max)]
         if suite == "all":
             from .specialfns import bernoulli_cache
-            above = [Check("bernoulli-cache", (("m", m),)) for m in range(
+            above = [_run_check("bernoulli-cache", (("m", m),)) for m in range(
                 _bernoulli_top(k_max) + 1, len(bernoulli_cache.polys))]
-            reports += [r for r in run_checks(above) if not r.passed]
+            reports += [r for r in above if not r.passed]
     return reports

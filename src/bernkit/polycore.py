@@ -123,9 +123,6 @@ class UniPoly:
     def leading_coefficient(self) -> Fraction:
         return Fraction(self.nums[-1], self.den) if self.nums else Fraction(0)
 
-    def constant_coefficient(self) -> Fraction:
-        return self.coefficient(0)
-
     def integer_coeffs(self) -> tuple[int, ...]:
         """The coefficients as ints; raises ValueError unless all are
         integers."""
@@ -332,11 +329,11 @@ def dot(terms: Iterable[tuple[UniPoly, UniPoly, int | Fraction]],
     return UniPoly._build(out, den, var)
 
 
-def falling_product(a: int, b: int, length: int, var: str = "z") -> UniPoly:
-    """prod_{r=1}^{length} (a*var + b - r); the empty product is 1."""
+def falling_product(a: int, b: int, length: int) -> UniPoly:
+    """prod_{r=1}^{length} (a*z + b - r); the empty product is 1."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    out = UniPoly([1], var)
+    out = UniPoly([1], "z")
     for r in range(1, length + 1):
-        out = out * UniPoly([b - r, a], var)
+        out = out * UniPoly([b - r, a], "z")
     return out

@@ -164,13 +164,13 @@ def exp_zx(order: int) -> TruncSeries:
                 for m in range(order + 1)])
 
 
-def x_over_expm1_pow(r: int, order: int, var: str = "z") -> TruncSeries:
+def x_over_expm1_pow(r: int, order: int) -> TruncSeries:
     """(x/(e^x - 1))^r, as the (-r)-th power of (e^x - 1)/x."""
     if r < 1:
         raise ValueError("r must be >= 1")
     expm1_over_x = TruncSeries(
-        order, [UniPoly.constant(Fraction(1, factorial(m + 1)), var)
-                for m in range(order + 1)], var)
+        order, [UniPoly.constant(Fraction(1, factorial(m + 1)), "z")
+                for m in range(order + 1)])
     return expm1_over_x ** -r
 
 

@@ -238,6 +238,10 @@ def test_verify_all_default_output_is_stable(capsys):
      "4c7825490976440930583890f7f8d47c345c3f7800877799a106ec60b448824b"),
     (["--n-max", "6", "--k-max", "4"],
      "94cd9c2684931a864f3dab730063db8255dd6879ed58af7378c651d9d431a15f"),
+    (["--format", "json"],
+     "f17d1867302ab4a81dcfa2331e093c0dc9c7d8de770480fc39ab39e849078931"),
+    (["--format", "latex"],
+     "b284fac0ad353a32de51011c9c87b21f5e34a6b3c6f69321ca7b5eff1dee32ba"),
 ])
 def test_verify_all_output_matches_pinned_digest(capsys, extra, digest):
     code, out = run(["verify", "all"] + extra, capsys)
@@ -254,6 +258,22 @@ def test_verify_all_output_matches_pinned_digest(capsys, extra, digest):
      "18ac0a615b1fdbfc239ed9b66331488e04f5b19d1f96f36bc0e16ef67d50db52"),
     (["table", "3"],
      "8d8b2b38e77511bd0afd608289f13f898b253fb949a1aa1b842764716ff1e282"),
+    (["table", "1"],
+     "25f19bc6cbaf316a3af401db6161dcfd1b301e346033004ce8b0669020bf9cb8"),
+    (["table", "1", "--format", "json"],
+     "af326eb7852c041924c87d5b91d0b86099e0c642c12dc30e1561da86d216d5d5"),
+    (["table", "1", "--format", "latex"],
+     "52263ef322f0c80e52b97f1339c6ab18703d4694ef720f27970e2fea69d6a8d9"),
+    (["table", "2"],
+     "bbc515997d2e43565c3f28d487a5b635426c609a214c1c703f6d0e769678cfd3"),
+    (["table", "2", "--format", "json"],
+     "d51a71d38788b29e2cdaedbe94734b8361e41296e74f0c94b710e0d6642ad4e4"),
+    (["table", "2", "--format", "latex"],
+     "c49d724ede7b7bb969016d661fe9e0635b7bef59f64d1368dff66519a6920a3c"),
+    (["table", "3", "--format", "json"],
+     "9450fe3122ea85b055f881a6e515a98f383b6adfbf7bf5b98e6f4c699472da2c"),
+    (["table", "3", "--format", "latex"],
+     "73b57791e04c4c6384cac54a6f5727be4117c178dfbb62fbdc057a390a8a677c"),
 ])
 def test_sequence_output_matches_pinned_digest(capsys, argv, digest):
     code, out = run(argv, capsys)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bernkit.convolution import (Check, DCoeffTable, SeqTable,
+from bernkit.convolution import (DCoeffTable, SeqTable,
                                  a_coeff_list, a_jkn, a_jkn_from_u,
                                  a_jkn_multinomial, coeff_z_closed,
-                                 coeff_z_formula, coeff_z_thm8, d_coeffs,
+                                 coeff_z_thm8, d_coeffs,
                                  degree_check, lemma5_coeffs, multisum_poly,
                                  multisum_poly_multinomial,
                                  multisum_poly_power, multisum_power,
@@ -60,7 +60,7 @@ def test_golden_rows_eulerian(n, k):
 def test_route_agreement_small_grid():
     for n in range(1, 4):
         for k in range(1, 3):
-            assert verify_routes(n, k).passed
+            assert verify_routes(n, k) is None
 
 
 def test_k0_closed_form():
@@ -210,7 +210,7 @@ def test_d_coeffs_zero_constant():
 
 @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (3, 3)])
 def test_thm1_passes(n, k):
-    assert verify_thm1(n, k).passed
+    assert verify_thm1(n, k) is None
 
 
 def test_thm1_divisor_shape():
@@ -220,7 +220,7 @@ def test_thm1_divisor_shape():
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (1, 2)])
 def test_corollary_passes(n, k):
-    assert verify_corollary(n, k).passed
+    assert verify_corollary(n, k) is None
 
 
 def test_corollary_values_explicit():
@@ -232,19 +232,19 @@ def test_corollary_values_explicit():
 
 @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (2, 4)])
 def test_thm6_passes(n, k):
-    assert verify_thm6(n, k).passed
+    assert verify_thm6(n, k) is None
 
 
 def test_corollary_full_grid():
     for n in range(1, 6):
         for k in range(1, 5):
-            assert verify_corollary(n, k).passed, (n, k)
+            assert verify_corollary(n, k) is None, (n, k)
 
 
 def test_thm6_full_grid():
     for n in range(2, 6, 2):
         for k in range(2, 5, 2):
-            assert verify_thm6(n, k).passed, (n, k)
+            assert verify_thm6(n, k) is None, (n, k)
 
 
 def test_thm6_rejects_odd():
@@ -255,8 +255,8 @@ def test_thm6_rejects_odd():
 
 
 def test_degree_check_even_k():
-    assert degree_check(1, 2).passed       # degree 5
-    assert degree_check(2, 2).passed       # degree 8
+    assert degree_check(1, 2) is None  # degree 5
+    assert degree_check(2, 2) is None  # degree 8
     assert s_series(1, 2).degree == 5
     assert s_series(2, 2).degree == 8
     with pytest.raises(ValueError):
@@ -272,7 +272,6 @@ def test_report_invariant():
 
 # record type -> (field names in order, one value per field)
 RECORDS = {
-    Check: (("statement", "params"), ("thm1", (("n", 2), ("k", 1)))),
     VerificationReport: (("statement", "params", "passed", "witness"),
                          ("thm1", (("n", 2), ("k", 1)), False, "remainder")),
     SeqTable: (("name", "start", "values"),
@@ -280,7 +279,7 @@ RECORDS = {
     DCoeffTable: (("n", "k", "nu", "d"), (3, 1, 0, (1, -3, 3, -1))),
 }
 # another value for each record type's first field
-OTHER_FIRST_FIELD = {Check: "thm6", VerificationReport: "thm6",
+OTHER_FIRST_FIELD = {VerificationReport: "thm6",
                      SeqTable: "a", DCoeffTable: 4}
 
 
@@ -327,10 +326,10 @@ def test_coeff_z_matches_direct():
 
 def test_coeff_z_even_even_is_zero():
     assert coeff_z_thm8(2, 2) == 0
-    # the raw alternating sum also vanishes on the even-even grid
+    # the alternating sum vanishes on the whole even-even grid
     for n in (2, 4):
         for k in (2, 4):
-            assert coeff_z_formula(n, k) == 0
+            assert coeff_z_thm8(n, k) == 0
 
 
 def test_coeff_z_closed_forms():
@@ -468,8 +467,8 @@ def test_run_suite_computes_each_route_once_per_point(monkeypatch):
 
 def test_verify_outside_a_run_recomputes(monkeypatch):
     calls = _counting_routes(monkeypatch)
-    assert verify_thm1(2, 1).passed
-    assert verify_thm1(2, 1).passed
+    assert verify_thm1(2, 1) is None
+    assert verify_thm1(2, 1) is None
     assert calls == [("series", 2, 1)] * 2
 
 
@@ -492,7 +491,7 @@ def test_lemma5_above_the_budget_skips_the_enumeration(monkeypatch):
         raise AssertionError("enumeration above the budget")
 
     monkeypatch.setattr(conv, "multisum_poly", forbidden)
-    assert conv.verify_lemma5(5, 20, 8).passed
+    assert conv.verify_lemma5(5, 20, 8) is None
 
 
 def test_lemma5_budget_covers_the_default_grid(monkeypatch):
@@ -504,7 +503,7 @@ def test_lemma5_budget_covers_the_default_grid(monkeypatch):
     enumerate_ = conv.multisum_poly
     monkeypatch.setattr(conv, "multisum_poly",
                         lambda *args: calls.append(args) or enumerate_(*args))
-    assert conv.verify_lemma5(3, 6, 4).passed
+    assert conv.verify_lemma5(3, 6, 4) is None
     assert calls == [(3, 6, 4)]
 
 
@@ -525,6 +524,5 @@ def test_lemma5_reports_a_corrupted_power(monkeypatch):
     broken = list(power)
     broken[4] = broken[4] + UniPoly([0, 1], "y")
     monkeypatch.setattr(conv, "multisum_power", lambda k, n: broken)
-    report = conv.verify_lemma5(2, 4, 3)
-    assert not report.passed
-    assert report.witness.startswith("power vs multinomial differ")
+    witness = conv.verify_lemma5(2, 4, 3)
+    assert witness.startswith("power vs multinomial differ")

@@ -92,27 +92,49 @@ def s_eulerian(n: int, k: int) -> UniPoly:
                 prod_{r=1}^{M} (m z + j - r),
     with m = n+1 and M = m(k+1) - 1.  Every d-row is read from one
     multisum_power(k, m).
+
+    Regrouped by j, this is sum_j P_j(z) D_j(z) with
+    D_j = sum_nu d_j^{(mk-nu)} z^nu and P_j = prod_{t=j-M}^{j-1} (m z + t).
+    Every P_j holds C = prod_{t=-n}^{-1} (m z + t), so
+    P_j = C R_j L_j with R_j = prod_{t<j} a_t and L_j = prod_{t>=j} b_t,
+    a_t = m z + t and b_t = m z + t - M for t = 0..mk-1.  The sum of
+    R_j L_j D_j is formed by _tree_sum, then multiplied once by C.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     m = n + 1
     length = m * (k + 1) - 1
+    top = m * k
     power = multisum_power(k, m)
-    # products[j] = prod_{r=1}^{M} (m z + j - r); the next one trades the
-    # factor (m z + j - M) for (m z + j), an exact division and a multiply
-    products = [falling_product(m, 0, length)]
-    for j in range(m * k):
-        q, r = products[j].div_rem(UniPoly([j - length, m], "z"))
-        if r:
-            raise ArithmeticError(
-                f"falling product {j} not divisible by its factor")
-        products.append(q * UniPoly([j, m], "z"))
-    # regrouped as sum_j products[j] * D_j(z), D_j = sum_nu d_j^{(mk-nu)} z^nu
-    ladder = _one_minus_y_powers(m * k)
-    rows = [_d_row(power, m * k - nu, ladder) for nu in range(m * k + 1)]
-    weight = Fraction(1, factorial(k) * factorial(length))
-    return dot(((products[j], UniPoly([row[j] for row in rows], "z"), weight)
-                for j in range(m * k + 1)), "z")
+    ladder = _one_minus_y_powers(top)
+    rows = [_d_row(power, top - nu, ladder) for nu in range(top + 1)]
+    leaves = [UniPoly([row[j] for row in rows], "z") for j in range(top + 1)]
+    a = [UniPoly([t, m], "z") for t in range(top)]
+    b = [UniPoly([t - length, m], "z") for t in range(top)]
+    _, _, total = _tree_sum(leaves, a, b, 0, top + 1)
+    return falling_product(m, 0, n) * total * Fraction(
+        1, factorial(k) * factorial(length))
+
+
+def _tree_sum(leaves, a, b, lo, hi):
+    # (A, B, T) for the leaves lo..hi-1: A = prod_{t=lo}^{hi-2} a_t,
+    # B = prod_{t=lo}^{hi-2} b_t and
+    # T = sum_j (prod_{t=lo}^{j-1} a_t) (prod_{t=j}^{hi-2} b_t) leaves[j].
+    # The two halves meet at the factors a_{mid-1} and b_{mid-1}, so the
+    # products stay balanced and their coefficients small below the top.
+    # Only a left half's A and a right half's B are read, so A is None on
+    # the right edge (hi == len(leaves)) and B on the left edge (lo == 0).
+    if hi - lo == 1:
+        one = UniPoly.constant(1, "z")
+        return one, one, leaves[lo]
+    mid = (lo + hi) // 2
+    a_l, b_l, t_l = _tree_sum(leaves, a, b, lo, mid)
+    a_r, b_r, t_r = _tree_sum(leaves, a, b, mid, hi)
+    left = a_l * a[mid - 1]
+    right = b[mid - 1] * b_r
+    return (left * a_r if hi < len(leaves) else None,
+            b_l * right if lo > 0 else None,
+            dot(((t_l, right, 1), (left, t_r, 1)), "z"))
 
 
 ROUTES: dict[str, Callable[[int, int], UniPoly]] = {
@@ -174,16 +196,14 @@ def _once_per_run(key, build):
 
 def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
     """S^{(n)}_{k,nu}(y) = sum over weak compositions (j_1..j_n) of nu of
-    prod_i C(k, j_i) A_{j_i}(y), by direct enumeration."""
+    prod_i C(k, j_i) A_{j_i}(y), by direct enumeration over the factors
+    C(k, j) A_j(y), j = 0..k, built once per call."""
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
     if nu > n * k:
         return UniPoly((), "y")
-
-    def factor(j: int) -> UniPoly:
-        return binomial(k, j) * eulerian_poly(j)
-
-    return _sum_over_bounded_compositions(nu, n, k, factor,
+    factors = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
+    return _sum_over_bounded_compositions(nu, n, k, factors.__getitem__,
                                           UniPoly.constant(1, "y"))
 
 
@@ -204,15 +224,19 @@ def _sum_over_bounded_compositions(total, parts, bound, factor, prefix):
 
 def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
     """Same polynomial via the multinomial theorem: group compositions by
-    the multiplicity vector (m_0..m_k) of their parts."""
+    the multiplicity vector (m_0..m_k) of their parts.  Each factor
+    (C(k,t) A_t(y))^{m_t} is built once per call."""
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
+    powers: dict[tuple[int, int], UniPoly] = {}
     acc = UniPoly((), "y")
     for counts in _multiplicity_vectors(k, n, nu):
         term = UniPoly.constant(multinomial(counts), "y")
         for t, m_t in enumerate(counts):
             if m_t:
-                term = term * (binomial(k, t) ** m_t) * eulerian_poly(t) ** m_t
+                if (t, m_t) not in powers:
+                    powers[t, m_t] = (binomial(k, t) * eulerian_poly(t)) ** m_t
+                term = term * powers[t, m_t]
         acc = acc + term
     return acc
 
@@ -238,17 +262,30 @@ def _multiplicity_vectors(k, n, nu):
 
 def multisum_power(k: int, n: int) -> list[UniPoly]:
     """[S^{(n)}_{k,0}(y), ..., S^{(n)}_{k,nk}(y)] at once: they are the
-    x-coefficients of (sum_{j=0}^{k} C(k,j) A_j(y) x^j)^n, built by n-fold
-    multiplication of x-polynomials whose coefficients lie in Z[y]."""
+    x-coefficients p_t of (sum_{j=0}^{k} a_j x^j)^n, a_j = C(k,j) A_j(y),
+    by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  Since
+    a_0 = A_0 = 1, p_0 = 1 and
+
+        t p_t = sum_{i=1}^{min(k,t)} ((n+1) i - t) a_i p_{t-i},
+
+    one sum of products and one exact division by t per row, which is
+    checked: a remainder raises ArithmeticError.  The a_j must lie in Z[y]
+    (ValueError otherwise), so every p_t does as well.  This recurrence is
+    written on Z[y] rows here, apart from TruncSeries.__pow__, so the
+    eulerian and series routes share no code above the base ring."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     base = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
-    power = base
-    for _ in range(n - 1):
-        top = len(power) - 1
-        power = [dot(((power[i], base[t - i], 1)
-                      for i in range(max(0, t - k), min(t, top) + 1)), "y")
-                 for t in range(top + k + 1)]
+    for a_j in base:
+        a_j.integer_coeffs()  # ValueError unless a_j is in Z[y]
+    power = [base[0]]
+    for t in range(1, n * k + 1):
+        acc = dot(((base[i], power[t - i], (n + 1) * i - t)
+                   for i in range(1, min(k, t) + 1)), "y")
+        p_t = acc * Fraction(1, t)
+        if p_t.den != 1:
+            raise ArithmeticError(f"row {t} of the power is not in Z[y]")
+        power.append(p_t)
     return power
 
 
@@ -536,7 +573,10 @@ def c3_sequence(count: int) -> list[Fraction]:
     formula, where the (A_3(y)/y)^{n+1} = (1+4y+y^2)^{n+1} coefficients are
     carried from one n to the next by one multiplication by 1+4y+y^2.  The
     signed factorial product (-1)^j (n+j)! (3n+2-j)! of term j is carried
-    from the term before by one small multiply and one exact division."""
+    from the term before by one small multiply and one exact division.
+    The row is palindromic and (n+j)! (3n+2-j)! is symmetric under
+    j -> 2n+2-j, so terms j and 2n+2-j are equal: the sum is twice the
+    terms j <= n plus the middle one."""
     if count < 1:
         raise ValueError("count must be >= 1")
     out = []
@@ -551,10 +591,11 @@ def c3_sequence(count: int) -> list[Fraction]:
         row = nxt
         acc = 0
         u = fact[n] * fact[3 * n + 2]
-        for j, c in enumerate(row):
-            acc += c * u
+        for j in range(n1):
+            acc += row[j] * u
             # (3n+2-j) divides (3n+2-j)!, so the division is exact
             u = -u * (n + j + 1) // (3 * n + 2 - j)
+        acc = 2 * acc + row[n1] * u
         out.append(Fraction((-1) ** n * n1 * acc, 6 * fact[4 * n1 - 1]))
     return out
 
@@ -837,21 +878,22 @@ def verify_bernoulli_cache(m: int) -> str | None:
     The cache is built by the number recurrence, the comparison value by
     series inversion that never reads the cache, so a corrupted cache entry
     cannot hide.  Only the x^m coefficient of the product is formed.  Inside
-    a sweep one x/(e^x-1) serves every m: it is built to the larger of m and
-    the top published cache entry, and rebuilt only for an m beyond that.
+    a sweep one x/(e^x-1) and one e^{zx} serve every m: they are built to
+    the larger of m and the top published cache entry, and rebuilt only for
+    an m beyond that.
     """
     from .series import exp_zx, x_over_expm1_pow
     from .specialfns import bernoulli_cache
     cached = bernoulli_poly(m)
     memo = _run_memo.get()
     if memo is None:
-        inverse = x_over_expm1_pow(1, m)
+        inverse, exp = x_over_expm1_pow(1, m), exp_zx(m)
     else:
-        inverse = memo.get("x/(e^x-1)")
+        inverse, exp = memo.get("x/(e^x-1), e^{zx}", (None, None))
         if inverse is None or inverse.order < m:
-            inverse = memo["x/(e^x-1)"] = x_over_expm1_pow(
-                1, max(m, len(bernoulli_cache.polys) - 1))
-    exp = exp_zx(m)
+            order = max(m, len(bernoulli_cache.polys) - 1)
+            inverse, exp = memo["x/(e^x-1), e^{zx}"] = (
+                x_over_expm1_pow(1, order), exp_zx(order))
     independent = dot(((inverse.coefficient(i), exp.coefficient(m - i),
                         factorial(m)) for i in range(m + 1)), "z")
     if cached != independent:

@@ -212,8 +212,10 @@ def build_F_eulerian(k: int, order: int) -> TruncSeries:
     The sum is first formed as sum_i c_i(z) y^i with y = e^x: each
     (1-y)^j A_{k-j}(y) has degree at most k in y, so c_i(z) collects
     [y^i] (1-y)^j A_{k-j}(y) / (j! (k-j)!) over the powers z^j.  Then
-    y^i -> e^{ix} gives the x^m coefficient sum_i c_i(z) i^m/m! directly,
-    and two series products are left.
+    y^i -> e^{ix}, and e^{zx} e^{ix} = e^{(z+i)x} gives the x^m coefficient
+    of e^{zx} sum_i c_i(z) e^{ix} as sum_i c_i(z) (z+i)^m/m!, each (z+i)^m
+    carried from the one before by one multiply; one series product is
+    left.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is covered by the "
@@ -223,8 +225,12 @@ def build_F_eulerian(k: int, order: int) -> TruncSeries:
     c = [UniPoly([Fraction(p.coefficient(i), factorial(j) * factorial(k - j))
                   for j, p in enumerate(in_y)], "z")
          for i in range(k + 1)]
-    at_exp = TruncSeries(order, [
-        sum((c_i * Fraction(i ** m, factorial(m)) for i, c_i in enumerate(c)),
-            UniPoly((), "z"))
-        for m in range(order + 1)])
-    return x_over_expm1_pow(k + 1, order) * exp_zx(order) * at_exp
+    shifts = [UniPoly([i, 1], "z") for i in range(k + 1)]
+    powers = [UniPoly.constant(1, "z")] * (k + 1)
+    at_exp = []
+    for m in range(order + 1):
+        weight = Fraction(1, factorial(m))
+        at_exp.append(dot(((c_i, p, weight) for c_i, p in zip(c, powers)),
+                          "z"))
+        powers = [p * s for p, s in zip(powers, shifts)]
+    return x_over_expm1_pow(k + 1, order) * TruncSeries(order, at_exp)

@@ -7,29 +7,37 @@ rational-function form of the polylogarithm at negative integer order.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from fractions import Fraction
 
 from .polycore import UniPoly, binomial, factorial
 
 
 class BernoulliCache:
-    """Monotone cache of Bernoulli numbers and polynomials."""
+    """Monotone cache of Bernoulli numbers and polynomials.  Entries are
+    appended under a lock, so threads that grow it at once cannot append
+    the same entry twice; polys[k] is published after numbers[k]."""
 
     def __init__(self):
         self.numbers = [Fraction(1)]
         self.polys = [UniPoly([1], "z")]
+        self._lock = allocate_lock()
 
     def ensure(self, k: int) -> None:
-        while len(self.numbers) <= k:
-            # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
-            m = len(self.numbers)
-            acc = sum(binomial(m + 1, j) * self.numbers[j] for j in range(m))
-            self.numbers.append(Fraction(-acc, m + 1))
-        while len(self.polys) <= k:
-            m = len(self.polys)
-            self.polys.append(UniPoly(
-                [binomial(m, i) * self.numbers[m - i]
-                 for i in range(m + 1)], "z"))
+        if len(self.polys) > k:
+            return
+        with self._lock:
+            while len(self.numbers) <= k:
+                # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
+                m = len(self.numbers)
+                acc = sum(binomial(m + 1, j) * self.numbers[j]
+                          for j in range(m))
+                self.numbers.append(Fraction(-acc, m + 1))
+            while len(self.polys) <= k:
+                m = len(self.polys)
+                self.polys.append(UniPoly(
+                    [binomial(m, i) * self.numbers[m - i]
+                     for i in range(m + 1)], "z"))
 
 
 class EulerianCache:
@@ -37,23 +45,28 @@ class EulerianCache:
 
     Row conventions are pinned by the golden tests against the classical
     table (A_3(y) = y^3 + 4y^2 + y, ...): A(0,0) = 1, A(k,0) = 0 for k >= 1,
-    and A(k,j) = j*A(k-1,j) + (k-j+1)*A(k-1,j-1).
+    and A(k,j) = j*A(k-1,j) + (k-j+1)*A(k-1,j-1).  Rows are appended under
+    a lock, as in BernoulliCache; polys[k] is published after triangle[k].
     """
 
     def __init__(self):
         self.triangle = [[1]]
         self.polys = [UniPoly([1], "y")]
+        self._lock = allocate_lock()
 
     def ensure(self, k: int) -> None:
-        while len(self.triangle) <= k:
-            m = len(self.triangle)
-            prev = self.triangle[-1]
-            row = [0] * (m + 1)
-            for j in range(1, m + 1):
-                left = prev[j] if j < len(prev) else 0
-                row[j] = j * left + (m - j + 1) * prev[j - 1]
-            self.triangle.append(row)
-            self.polys.append(UniPoly(row, "y"))
+        if len(self.polys) > k:
+            return
+        with self._lock:
+            while len(self.triangle) <= k:
+                m = len(self.triangle)
+                prev = self.triangle[-1]
+                row = [0] * (m + 1)
+                for j in range(1, m + 1):
+                    left = prev[j] if j < len(prev) else 0
+                    row[j] = j * left + (m - j + 1) * prev[j - 1]
+                self.triangle.append(row)
+                self.polys.append(UniPoly(row, "y"))
 
 
 #: process-wide caches; reachable so tests can inject faults deliberately

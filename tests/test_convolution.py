@@ -14,11 +14,42 @@ from bernkit.convolution import (DCoeffTable, SeqTable,
                                  s_eulerian, s_series, theorem1_divisor,
                                  u_from_a_series, u_nu, verify_corollary,
                                  verify_routes, verify_thm1, verify_thm6,
-                                 VerificationReport)
-from bernkit.polycore import UniPoly, binomial, factorial, falling_product
+                                 VerificationReport, per_run_memo)
+from bernkit.polycore import (UniPoly, binomial, dot, factorial,
+                              falling_product)
 from bernkit.specialfns import eulerian_poly
 
 Z = UniPoly.variable("z")
+
+
+def multisum_power_nfold(k, n):
+    # (sum_j C(k,j) A_j(y) x^j)^n by n-1 successive products, O(n^2 k^2)
+    # products of Z[y] rows in all
+    base = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
+    power = base
+    for _ in range(n - 1):
+        top = len(power) - 1
+        power = [dot(((power[i], base[t - i], 1)
+                      for i in range(max(0, t - k), min(t, top) + 1)), "y")
+                 for t in range(top + k + 1)]
+    return power
+
+
+def s_eulerian_flat(n, k):
+    # the eulerian route's closing sum sum_j P_j(z) D_j(z) as one flat sum,
+    # every falling product P_j built afresh and every d-row read from the
+    # n-fold power
+    m = n + 1
+    length = m * (k + 1) - 1
+    top = m * k
+    power = multisum_power_nfold(k, m)
+    size = top + 1
+    rows = [((UniPoly([1, -1], "y") ** nu * power[top - nu]).integer_coeffs()
+             + (0,) * size)[:size] for nu in range(size)]
+    return dot(((falling_product(m, j, length),
+                 UniPoly([row[j] for row in rows], "z"),
+                 Fraction(1, factorial(k) * factorial(length)))
+                for j in range(size)), "z")
 
 
 def lin(a, b):
@@ -131,6 +162,29 @@ def test_multisum_power_matches_both_computations():
             assert not multisum_poly_power(k, n * k + 1, n)
     with pytest.raises(ValueError):
         multisum_poly_power(2, -1, 3)
+
+
+def test_multisum_power_matches_the_nfold_product():
+    for k in range(1, 5):
+        for n in range(1, 7):
+            assert multisum_power(k, n) == multisum_power_nfold(k, n), (k, n)
+
+
+@pytest.mark.parametrize("n,k", [(n, 1) for n in range(1, 7)]
+                         + [(1, k) for k in range(2, 7)]
+                         + [(6, 5), (12, 6)])
+def test_s_eulerian_product_tree_matches_the_flat_sum(n, k):
+    assert s_eulerian(n, k) == s_eulerian_flat(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(16, 6), (24, 6)])
+def test_theorem_checks_hold_on_the_eulerian_route_past_the_grid(n, k):
+    # one S per point, shared by the four checks as in a sweep
+    with per_run_memo():
+        assert verify_thm1(n, k, route="eulerian") is None
+        assert verify_corollary(n, k, route="eulerian") is None
+        assert verify_thm6(n, k, route="eulerian") is None
+        assert degree_check(n, k, route="eulerian") is None
 
 
 @pytest.mark.parametrize("n,k", [(6, 5), (8, 2), (10, 4)])

@@ -187,21 +187,40 @@ def test_reflection_of_F():
 
 
 def test_bernoulli_cache_check_grows_its_series_within_a_run(monkeypatch):
-    import bernkit.series as series
     from bernkit.convolution import per_run_memo, verify_bernoulli_cache
     from bernkit.specialfns import bernoulli_cache
     # start from a short cache so the run's comparison series has to grow
     for name in ("numbers", "polys"):
         monkeypatch.setattr(bernoulli_cache, name,
                             getattr(bernoulli_cache, name)[:9])
-    orders = []
-    build = series.x_over_expm1_pow
-    monkeypatch.setattr(series, "x_over_expm1_pow",
-                        lambda r, order: orders.append(order)
-                        or build(r, order))
+    orders, exp_orders = _record_comparison_orders(monkeypatch)
     with per_run_memo():
         for m in range(41):
             assert verify_bernoulli_cache(m) is None, m
     assert orders[0] == 8
     assert orders[-1] == 40
     assert orders == sorted(set(orders))
+    assert exp_orders == orders  # one e^{zx} per x/(e^x-1), not one per m
+
+
+def test_bernoulli_cache_check_outside_a_run_builds_per_call(monkeypatch):
+    from bernkit.convolution import verify_bernoulli_cache
+    orders, exp_orders = _record_comparison_orders(monkeypatch)
+    assert verify_bernoulli_cache(5) is None
+    assert verify_bernoulli_cache(5) is None
+    assert orders == exp_orders == [5, 5]
+
+
+def _record_comparison_orders(monkeypatch):
+    # the orders to which the Bernoulli cache check builds x/(e^x-1) and
+    # e^{zx}, in call order
+    import bernkit.series as series
+    orders, exp_orders = [], []
+    build, build_exp = series.x_over_expm1_pow, series.exp_zx
+    monkeypatch.setattr(series, "x_over_expm1_pow",
+                        lambda r, order: orders.append(order)
+                        or build(r, order))
+    monkeypatch.setattr(series, "exp_zx",
+                        lambda order: exp_orders.append(order)
+                        or build_exp(order))
+    return orders, exp_orders

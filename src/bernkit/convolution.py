@@ -77,12 +77,14 @@ def s_direct(n: int, k: int) -> UniPoly:
 
 
 def s_series(n: int, k: int) -> UniPoly:
-    """S[n,k](z) = k!^n * [x^{(k+1)(n+1)-1}] F_k(x,z)^{n+1}."""
+    """S[n,k](z) = k!^n * [x^{(k+1)(n+1)-1}] F_k(x,z)^{n+1}.
+
+    F_k and its power are truncated at that coefficient, the one read."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    order = (k + 1) * (n + 1)
+    order = (k + 1) * (n + 1) - 1
     power = build_F_direct(k, order) ** (n + 1)
-    return factorial(k) ** n * power.coefficient(order - 1)
+    return factorial(k) ** n * power.coefficient(order)
 
 
 def s_eulerian(n: int, k: int) -> UniPoly:
@@ -91,7 +93,8 @@ def s_eulerian(n: int, k: int) -> UniPoly:
     (1/(k! M!)) sum_{nu=0}^{mk} z^nu sum_{j=0}^{mk} d_j^{(mk-nu)}
                 prod_{r=1}^{M} (m z + j - r),
     with m = n+1 and M = m(k+1) - 1.  Every d-row is read from one
-    multisum_power(k, m).
+    multisum_power(k, m), which a sweep builds once for this route and
+    lemma 5 together.
 
     Regrouped by j, this is sum_j P_j(z) D_j(z) with
     D_j = sum_nu d_j^{(mk-nu)} z^nu and P_j = prod_{t=j-M}^{j-1} (m z + t).
@@ -105,12 +108,13 @@ def s_eulerian(n: int, k: int) -> UniPoly:
     m = n + 1
     length = m * (k + 1) - 1
     top = m * k
-    power = multisum_power(k, m)
+    power = _multisum_power_per_run(k, m)
     ladder = _one_minus_y_powers(top)
     rows = [_d_row(power, top - nu, ladder) for nu in range(top + 1)]
-    leaves = [UniPoly([row[j] for row in rows], "z") for j in range(top + 1)]
-    a = [UniPoly([t, m], "z") for t in range(top)]
-    b = [UniPoly([t - length, m], "z") for t in range(top)]
+    leaves = [UniPoly._build([row[j] for row in rows], 1, "z")
+              for j in range(top + 1)]
+    a = [UniPoly._build([t, m], 1, "z") for t in range(top)]
+    b = [UniPoly._build([t - length, m], 1, "z") for t in range(top)]
     _, _, total = _tree_sum(leaves, a, b, 0, top + 1)
     return falling_product(m, 0, n) * total * Fraction(
         1, factorial(k) * factorial(length))
@@ -170,10 +174,17 @@ _run_memo: ContextVar[dict | None] = ContextVar("run_memo", default=None)
 
 @contextmanager
 def per_run_memo():
-    """Share S polynomials, multisum powers and the Bernoulli comparison
-    series among the checks run inside the block.  `run_suite` opens one per
-    call, so nothing outlives a sweep and a fault injected into a family
-    cache between sweeps is seen by the next one."""
+    """Share these among the checks run inside the block, each built once:
+
+    - ("s", n, k, route): S[n,k] on one route (s_poly);
+    - ("multisum_power", k, n): multisum_power(k, n), read by the eulerian
+      route at n = n'+1 and by lemma 5's power computation;
+    - ("multisum factor", k, t, m): (C(k,t) A_t(y))^m, the factors of
+      multisum_poly_multinomial;
+    - "x/(e^x-1), e^{zx}": the series pair of verify_bernoulli_cache.
+
+    `run_suite` opens one per call, so nothing outlives a sweep and a fault
+    injected into a family cache between sweeps is seen by the next one."""
     token = _run_memo.set({})
     try:
         yield
@@ -211,11 +222,16 @@ def _sum_over_bounded_compositions(total, parts, bound, factor, prefix):
     # as _sum_over_compositions, over parts in 0..bound only, for
     # total <= parts * bound: a first part j leaves total - j for parts - 1
     # parts of at most `bound` each, so j starts at total - (parts - 1) *
-    # bound and no dead prefix is walked
+    # bound and no dead prefix is walked; the last two parts are one sum of
+    # products, as in _sum_over_compositions
     if parts == 1:
         return prefix * factor(total)
+    firsts = range(max(0, total - (parts - 1) * bound), min(total, bound) + 1)
+    if parts == 2:
+        return dot(((prefix * factor(j), factor(total - j), 1)
+                    for j in firsts), prefix.var)
     acc = None
-    for j in range(max(0, total - (parts - 1) * bound), min(total, bound) + 1):
+    for j in firsts:
         term = _sum_over_bounded_compositions(total - j, parts - 1, bound,
                                               factor, prefix * factor(j))
         acc = term if acc is None else acc + term
@@ -225,20 +241,29 @@ def _sum_over_bounded_compositions(total, parts, bound, factor, prefix):
 def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
     """Same polynomial via the multinomial theorem: group compositions by
     the multiplicity vector (m_0..m_k) of their parts.  Each factor
-    (C(k,t) A_t(y))^{m_t} is built once per call."""
+    (C(k,t) A_t(y))^{m_t} is built once per call, and once per sweep inside
+    a `per_run_memo` block; the multinomial coefficients weight one sum of
+    products."""
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
-    powers: dict[tuple[int, int], UniPoly] = {}
-    acc = UniPoly((), "y")
+    powers = _run_memo.get()
+    if powers is None:
+        powers = {}
+    one = UniPoly.constant(1, "y")
+    terms = []
     for counts in _multiplicity_vectors(k, n, nu):
-        term = UniPoly.constant(multinomial(counts), "y")
+        factors = []
         for t, m_t in enumerate(counts):
             if m_t:
-                if (t, m_t) not in powers:
-                    powers[t, m_t] = (binomial(k, t) * eulerian_poly(t)) ** m_t
-                term = term * powers[t, m_t]
-        acc = acc + term
-    return acc
+                key = ("multisum factor", k, t, m_t)
+                if key not in powers:
+                    powers[key] = (binomial(k, t) * eulerian_poly(t)) ** m_t
+                factors.append(powers[key])
+        prefix = factors[0] if len(factors) > 1 else one
+        for f in factors[1:-1]:
+            prefix = prefix * f
+        terms.append((prefix, factors[-1], multinomial(counts)))
+    return dot(terms, "y")
 
 
 def _multiplicity_vectors(k, n, nu):
@@ -289,14 +314,19 @@ def multisum_power(k: int, n: int) -> list[UniPoly]:
     return power
 
 
+def _multisum_power_per_run(k: int, n: int) -> list[UniPoly]:
+    # multisum_power(k, n), built once per (k, n) inside a sweep
+    return _once_per_run(("multisum_power", k, n),
+                         lambda: multisum_power(k, n))
+
+
 def multisum_poly_power(k: int, nu: int, n: int) -> UniPoly:
     """S^{(n)}_{k,nu}(y) read as row nu of multisum_power(k, n), the zero
     polynomial for nu > nk.  Inside a `per_run_memo` block the power is
     built once per (k, n)."""
     if nu < 0:
         raise ValueError("need nu >= 0")
-    power = _once_per_run(("multisum_power", k, n),
-                          lambda: multisum_power(k, n))
+    power = _multisum_power_per_run(k, n)
     return power[nu] if nu < len(power) else UniPoly((), "y")
 
 

@@ -204,15 +204,18 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
+        """self**n by left-to-right binary powering: one squaring per bit
+        below the top one and one multiply by self per further set bit,
+        floor(log2 n) + popcount(n) - 1 products in all."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = UniPoly.constant(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return UniPoly.constant(1, self.var)
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __call__(self, at: int | Fraction) -> Fraction:

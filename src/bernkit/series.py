@@ -129,6 +129,12 @@ class TruncSeries:
         top = self.order - v * a
         support = [j for j in range(1, top + 1) if h[j]]
         scalar = h0.degree == 0
+        if scalar:
+            # acc / (m H_0) = (acc.nums * d) / (acc.den * m c) for H_0 = c/d,
+            # the sign moved to the numerators so the denominator stays > 0
+            c, d = h0.nums[0], h0.den
+            if c < 0:
+                c, d = -c, -d
         g = [h0 ** a if a > 0 else
              UniPoly.constant(h0.coefficient(0) ** a, self.var)]
         for m in range(1, top + 1):
@@ -137,7 +143,8 @@ class TruncSeries:
             acc = dot(((h[j], g[m - j], (a + 1) * j - m)
                        for j in support if j <= m), self.var)
             if scalar:
-                g.append(acc * (1 / (m * h0.coefficient(0))))
+                g.append(UniPoly._build([x * d for x in acc.nums],
+                                        acc.den * m * c, self.var))
                 continue
             q, r = (acc * Fraction(1, m)).div_rem(h0)
             if r:

@@ -7,20 +7,27 @@ rational-function form of the polylogarithm at negative integer order.
 
 from __future__ import annotations
 
+import math
 from _thread import allocate_lock
 from fractions import Fraction
 
-from .polycore import UniPoly, binomial, factorial
+from .polycore import UniPoly, binomial, dot, factorial
 
 
 class BernoulliCache:
     """Monotone cache of Bernoulli numbers and polynomials.  Entries are
     appended under a lock, so threads that grow it at once cannot append
-    the same entry twice; polys[k] is published after numbers[k]."""
+    the same entry twice; polys[k] is published after numbers[k].
+
+    The recurrence runs on integers: _nums[j] / _den is B_j, over the
+    common denominator of every number computed so far, so each new number
+    costs one Fraction and each polynomial one normalisation."""
 
     def __init__(self):
         self.numbers = [Fraction(1)]
         self.polys = [UniPoly([1], "z")]
+        self._nums = [1]
+        self._den = 1
         self._lock = allocate_lock()
 
     def ensure(self, k: int) -> None:
@@ -30,14 +37,22 @@ class BernoulliCache:
             while len(self.numbers) <= k:
                 # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
                 m = len(self.numbers)
-                acc = sum(binomial(m + 1, j) * self.numbers[j]
-                          for j in range(m))
-                self.numbers.append(Fraction(-acc, m + 1))
+                nums = self._nums
+                acc = sum(binomial(m + 1, j) * nums[j]
+                          for j in range(m) if nums[j])
+                b_m = Fraction(-acc, (m + 1) * self._den)
+                grow = b_m.denominator // math.gcd(b_m.denominator, self._den)
+                if grow != 1:
+                    self._nums = nums = [x * grow for x in nums]
+                    self._den *= grow
+                nums.append(b_m.numerator * (self._den // b_m.denominator))
+                self.numbers.append(b_m)
+            nums = self._nums
             while len(self.polys) <= k:
                 m = len(self.polys)
-                self.polys.append(UniPoly(
-                    [binomial(m, i) * self.numbers[m - i]
-                     for i in range(m + 1)], "z"))
+                self.polys.append(UniPoly._build(
+                    [binomial(m, i) * nums[m - i] for i in range(m + 1)],
+                    self._den, "z"))
 
 
 class EulerianCache:
@@ -109,13 +124,17 @@ def eulerian_poly(k: int) -> UniPoly:
 
 
 def higher_bernoulli_poly(m: int, r: int) -> UniPoly:
-    """Order-r Bernoulli polynomial: m! * [x^m] (x/(e^x-1))^r e^{zx}."""
+    """Order-r Bernoulli polynomial: m! * [x^m] (x/(e^x-1))^r e^{zx}.
+
+    Only the x^m coefficient of the product is formed, as one sum of
+    products over i of [x^i] (x/(e^x-1))^r * z^{m-i}/(m-i)!."""
     if m < 0 or r < 1:
         raise ValueError("need m >= 0 and r >= 1")
     # local import: the series engine builds its generators on this module
     from .series import exp_zx, x_over_expm1_pow
-    s = x_over_expm1_pow(r, m) * exp_zx(m)
-    return factorial(m) * s.coefficient(m)
+    inverse, exp = x_over_expm1_pow(r, m), exp_zx(m)
+    return dot(((inverse.coefficient(i), exp.coefficient(m - i),
+                 factorial(m)) for i in range(m + 1)), "z")
 
 
 def polylog_neg_check(k: int, order: int) -> bool:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bernkit import polycore
 from bernkit.polycore import (NEG_INFINITY, UniPoly, binomial, factorial,
                               falling_product, multinomial)
 
@@ -80,6 +81,36 @@ def test_falling_product():
     assert falling_product(2, 5, 0) == P(1)
     with pytest.raises(ValueError):
         falling_product(1, 0, -1)
+
+
+def test_pow_matches_repeated_multiplication():
+    for var in ("z", "y"):
+        p = P(Fraction(-2, 3), 1, Fraction(5, 7), var=var)
+        acc = P(1, var=var)
+        for n in range(10):
+            assert p ** n == acc, (var, n)
+            acc = acc * p
+    with pytest.raises(ValueError):
+        P(1, 1) ** -1
+
+
+def test_pow_forms_no_discarded_product(monkeypatch):
+    # floor(log2 n) squarings and one product by the base for each set bit
+    # below the top one: no product by the constant 1, no squaring past the
+    # top bit
+    calls = []
+    mul_add = polycore._mul_add
+
+    def counting(*args):
+        calls.append(args)
+        mul_add(*args)
+
+    monkeypatch.setattr(polycore, "_mul_add", counting)
+    p = P(Fraction(-2, 3), 1, Fraction(5, 7))
+    for n in range(1, 40):
+        calls.clear()
+        p ** n
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
 
 
 def test_binomial_multinomial():

@@ -78,6 +78,25 @@ def test_negative_pow_is_power_of_inverse():
             bad ** -2
 
 
+def test_pow_with_negative_constant_term():
+    # H_0 = -2: the scalar division by m H_0 moves the sign to the
+    # numerators, and every coefficient keeps a positive denominator
+    order = 9
+    a = TruncSeries(order, [UniPoly.constant(-2), UniPoly.constant(1)])
+    inv = a.inverse()
+    # 1/(x - 2) = -sum_m x^m / 2^{m+1}
+    assert inv == const_series(
+        [Fraction(-1, 2 ** (m + 1)) for m in range(order + 1)], order)
+    acc, acc_inv = TruncSeries.one(order), TruncSeries.one(order)
+    for n in range(1, 5):
+        acc, acc_inv = acc * a, acc_inv * inv
+        assert a ** n == acc, n
+        assert a ** -n == acc_inv, n
+        assert a ** n * a ** -n == TruncSeries.one(order), n
+        for c in (a ** n).coeffs + (a ** -n).coeffs:
+            assert c.den > 0
+
+
 def test_mul_commutes_and_associates():
     rng = random.Random(11)
     for _ in range(10):

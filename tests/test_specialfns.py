@@ -1,11 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from bernkit.polycore import UniPoly, factorial, falling_product
-from bernkit.specialfns import (bernoulli_number, bernoulli_poly,
-                                eulerian_number, eulerian_poly,
-                                higher_bernoulli_poly, polylog_neg_check)
+from bernkit.series import exp_zx, x_over_expm1_pow
+from bernkit.specialfns import (BernoulliCache, bernoulli_number,
+                                bernoulli_poly, eulerian_number,
+                                eulerian_poly, higher_bernoulli_poly,
+                                polylog_neg_check)
 
 # golden rows: B_k(z) and A_k(y) for k <= 6, ascending coefficients
 BERNOULLI_TABLE = {
@@ -36,6 +39,29 @@ def test_bernoulli_numbers():
     for k in range(3, 25, 2):
         assert bernoulli_number(k) == 0
     assert bernoulli_number(12) == Fraction(-691, 2730)
+
+
+def _reference_bernoulli(top):
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0 in Fraction arithmetic, and
+    # B_m(z) = sum_i C(m, i) B_{m-i} z^i as ascending coefficient lists
+    numbers = [Fraction(1)]
+    for m in range(1, top + 1):
+        numbers.append(-sum(math.comb(m + 1, j) * numbers[j]
+                            for j in range(m)) / (m + 1))
+    polys = [[math.comb(m, i) * numbers[m - i] for i in range(m + 1)]
+             for m in range(top + 1)]
+    return numbers, polys
+
+
+def test_integer_bernoulli_cache_matches_a_fraction_reference():
+    numbers, polys = _reference_bernoulli(60)
+    at_once, by_steps = BernoulliCache(), BernoulliCache()
+    at_once.ensure(60)
+    for k in (1, 2, 3, 7, 8, 30, 31, 60):
+        by_steps.ensure(k)
+    for cache in (at_once, by_steps):
+        assert cache.numbers == numbers
+        assert [list(p.coeffs) for p in cache.polys] == polys
 
 
 @pytest.mark.parametrize("k", sorted(BERNOULLI_TABLE))
@@ -92,6 +118,14 @@ def test_higher_bernoulli():
     # B_{m-1}^{(m)}(z) is the pure falling product (z-1)...(z-m+1)
     for m in range(2, 11):
         assert higher_bernoulli_poly(m - 1, m) == falling_product(1, 0, m - 1)
+
+
+def test_higher_bernoulli_matches_the_full_series_product():
+    for r in range(1, 6):
+        for m in range(13):
+            product = x_over_expm1_pow(r, m) * exp_zx(m)
+            assert (higher_bernoulli_poly(m, r)
+                    == factorial(m) * product.coefficient(m)), (m, r)
 
 
 def test_polylog_check():

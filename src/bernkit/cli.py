@@ -2,6 +2,9 @@
 
     bernkit <compute|table|seq|verify> [subargs] [--format plain|json|latex]
 
+The grammar is one table, COMMANDS: each command's positional choices, its
+options and its handler.  `-h` prints usage made from it.
+
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 internal error (any other uncaught exception; its traceback goes to
 stderr).  A check that raises is a verification failure, not an internal
@@ -11,10 +14,11 @@ error: it becomes a FAIL report.  Every rational is printed as an exact
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import count
+from types import SimpleNamespace
 
 from . import convolution as conv
 from .polycore import UniPoly
@@ -187,18 +191,16 @@ def _a_jkn_row(f, k: int, n: int, j: int | None) -> list[int]:
     return [f(k, n, i) for i in js]
 
 
-#: the integer parameters `compute` takes, in --help order
-PARAMS = ("n", "k", "m", "nu", "j")
-
 #: target -> (required parameters, optional parameters, range rule, usage
 #: message, routes, printer).  The parameters are named in label order, and
 #: every route function takes their values in that order, None for an
-#: optional one not given.  The range rule and the routes are functions of
-#: the parsed arguments; routes(args) maps route names to functions, the
-#: default first, read off the modules per call so that a wrapper (a tracer,
-#: a test's monkeypatch) is the one called.  A target without routes maps
-#: None to its one function and takes no --route.  The printer prints one
-#: route's value, or all of them when given `routes`; None means
+#: optional one not given.  The range rule is a function of the parsed
+#: arguments.  A target with routes holds routes(args), which maps route
+#: names to functions, the default first, and takes --route; a target
+#: without routes names its one function in `convolution`.  Either way the
+#: functions are read off the modules per call, so that a wrapper (a tracer,
+#: a test's monkeypatch) is the one called.  The printer prints one route's
+#: value, or all of them when given `routes`; None means
 #: `_print_poly_result`.  Plain tuples: a namedtuple class costs start-up.
 TARGETS = {
     "s": (
@@ -221,11 +223,8 @@ TARGETS = {
     "d-coeffs": (
         ("n", "k", "nu"), (),
         lambda a: a.n >= 1 and a.k >= 1 and 0 <= a.nu <= a.n * a.k,
-        "need n >= 1, k >= 1 and 0 <= nu <= n*k",
-        lambda a: {None: conv.d_coeffs}, _print_d_coeffs),
-    "p": (
-        ("n",), (), lambda a: a.n >= 1, "need n >= 1",
-        lambda a: {None: conv.p_poly}, None),
+        "need n >= 1, k >= 1 and 0 <= nu <= n*k", "d_coeffs", _print_d_coeffs),
+    "p": (("n",), (), lambda a: a.n >= 1, "need n >= 1", "p_poly", None),
     "a_jkn": (
         ("k", "n"), ("j",), lambda a: a.k >= 1 and a.n >= 1,
         "need k >= 1 and n >= 1",
@@ -235,33 +234,28 @@ TARGETS = {
         _print_a_jkn),
     "u_nu": (
         ("k", "n", "nu"), (), lambda a: a.k >= 1 and a.n >= 1 and a.nu >= 0,
-        "need k >= 1, n >= 1, nu >= 0",
-        lambda a: {None: conv.u_nu}, _print_u_nu),
+        "need k >= 1, n >= 1, nu >= 0", "u_nu", _print_u_nu),
 }
 
 
 def cmd_compute(args) -> int:
     name = args.target
-    required, optional, valid, usage, routes_for, show = TARGETS[name]
-    names = required + optional
-    for param in required:
-        if getattr(args, param) is None:
-            raise UsageError(f"target {name!r} requires --{param}")
-    routes = routes_for(args)
-    takes = names if None in routes else names + ("route",)
-    for option in PARAMS + ("route",):
-        if option not in takes and getattr(args, option) is not None:
-            raise UsageError(f"target {name!r} does not take --{option}")
+    required, optional, valid, usage, routes, show = TARGETS[name]
     _check_range(valid(args), usage)
+    names = required + optional
     values = [getattr(args, param) for param in names]
     params = {p: v for p, v in zip(names, values) if v is not None}
     show = show or _print_poly_result
+    if isinstance(routes, str):
+        show(name, params, getattr(conv, routes)(*values), args.format)
+        return 0
+    routes = routes(args)
     route = args.route or next(iter(routes))
     if route == "all":
         results = {r: f(*values) for r, f in routes.items()}
-        show(name, params, next(iter(results.values())), args.fmt, results)
+        show(name, params, next(iter(results.values())), args.format, results)
     elif route in routes:
-        show(name, params, routes[route](*values), args.fmt)
+        show(name, params, routes[route](*values), args.format)
     else:
         raise UsageError(f"route must be one of {list(routes) + ['all']}")
     return 0
@@ -296,15 +290,15 @@ TABLES = {
 
 
 def cmd_table(args) -> int:
-    obj, header, rows_for = TABLES[args.which]
+    obj, header, rows_for = TABLES[args.table]
     rows = rows_for()
-    if args.fmt == "json":
+    if args.format == "json":
         emit_json({"object": obj, "entries": [
             {**params, **(_poly_fields(*polys.values()) if len(polys) == 1
                           else {name: _poly_fields(p)
                                 for name, p in polys.items()})}
             for params, polys in rows]})
-    elif args.fmt == "latex":
+    elif args.format == "latex":
         emit(_latex_tabular(header, [
             [str(v) for v in params.values()]
             + [f"${poly_latex(p)}$" for p in polys.values()]
@@ -322,17 +316,20 @@ def cmd_table(args) -> int:
 # seq
 # ---------------------------------------------------------------------------
 
+#: sequence name -> the function in `convolution` that tabulates it
+SEQUENCES = {"c": "seq_c", "a": "seq_a", "c3": "seq_c3"}
+
+
 def cmd_seq(args) -> int:
     _check_range(args.count >= 1, "need count >= 1")
-    table = {"c": conv.seq_c, "a": conv.seq_a, "c3": conv.seq_c3}[
-        args.name](args.count)
+    table = getattr(conv, SEQUENCES[args.sequence])(args.count)
     checks = conv.seq_checks(table)
-    if args.fmt == "json":
+    if args.format == "json":
         emit_json({"object": "seq", "name": table.name, "start": table.start,
                    "values": [fmt_rational(v) for v in table.values],
                    "checks": checks})
         return 0
-    if args.fmt == "latex":
+    if args.format == "latex":
         emit(_latex_tabular(
             ["$n$", "value"],
             [[str(table.start + i), f"${fmt_latex_rational(v)}$"]
@@ -361,10 +358,19 @@ def cmd_verify(args) -> int:
     _check_range(args.n_max >= 1 and args.k_max >= 1,
                  "need --n-max >= 1 and --k-max >= 1")
     reports = conv.run_suite(args.suite, args.n_max, args.k_max)
+    if not reports:
+        # a grid is empty below some (n_max, k_max); find the smallest one
+        grid = conv.SUITE_TABLE[args.suite][2]
+        m = next(m for m in count(1) if any(grid(m, m)))
+        n_min = next(n for n in count(1) if any(grid(n, m)))
+        k_min = next(k for k in count(1) if any(grid(m, k)))
+        raise UsageError(f"suite {args.suite!r} has no checks at --n-max "
+                         f"{args.n_max} --k-max {args.k_max}; its smallest "
+                         f"grid is --n-max {n_min} --k-max {k_min}")
     if args.sorted:
         reports = sorted(reports, key=lambda r: (r.statement, r.params))
     ok = all(r.passed for r in reports)
-    if args.fmt == "json":
+    if args.format == "json":
         emit_json({"object": "verify", "suite": args.suite,
                    "params": {"n_max": args.n_max, "k_max": args.k_max},
                    "reports": [
@@ -374,7 +380,7 @@ def cmd_verify(args) -> int:
                    "passed": ok,
                    "counts": {"total": len(reports),
                               "failed": sum(not r.passed for r in reports)}})
-    elif args.fmt == "latex":
+    elif args.format == "latex":
         emit(_latex_tabular(
             ["statement", "params", "result"],
             [[r.statement, r.label(), "pass" if r.passed else "FAIL"]
@@ -393,53 +399,170 @@ def cmd_verify(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bernkit",
-        description="Exact computation and verification of Bernoulli-"
-                    "polynomial convolution identities.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", dest="fmt", default="plain",
-                     choices=["plain", "json", "latex"])
+#: the default of an option that must be given
+REQUIRED = object()
 
-    pc = sub.add_parser("compute", parents=[fmt],
-                        help="compute one object exactly")
-    pc.add_argument("target", choices=list(TARGETS))
-    for param in PARAMS:
-        pc.add_argument(f"--{param}", type=int)
-    pc.add_argument("--route")
-    pc.set_defaults(func=cmd_compute)
+FORMAT = {"format": (("plain", "json", "latex"), "plain")}
 
-    pt = sub.add_parser("table", parents=[fmt],
-                        help="regenerate a reference table")
-    pt.add_argument("which", type=int, choices=[1, 2, 3])
-    pt.set_defaults(func=cmd_table)
 
-    ps = sub.add_parser("seq", parents=[fmt],
-                        help="emit a sequence prefix with checks")
-    ps.add_argument("name", choices=["c", "a", "c3"])
-    ps.add_argument("--count", type=int, required=True)
-    ps.set_defaults(func=cmd_seq)
+def _target_options(target):
+    required, optional, _, _, routes, _ = TARGETS[target]
+    return {**{p: (int, REQUIRED) for p in required},
+            **{p: (int, None) for p in optional},
+            **({} if isinstance(routes, str) else {"route": (str, None)}),
+            **FORMAT}
 
-    pv = sub.add_parser("verify", parents=[fmt],
-                        help="run a verification sweep")
-    pv.add_argument("suite", choices=list(conv.SUITES) + ["all"])
-    pv.add_argument("--n-max", dest="n_max", type=int, default=4)
-    pv.add_argument("--k-max", dest="k_max", type=int, default=3)
-    pv.add_argument("--sorted", action="store_true")
-    pv.set_defaults(func=cmd_verify)
 
-    return parser
+#: command -> (handler name, help line, positional (name, type, choices),
+#: options(choice)).  options maps each option the chosen positional takes
+#: to (kind, default): kind is int or str for a value, a tuple for one of
+#: its values, or bool for a flag.  The handler is looked up by name when
+#: the command runs, so a wrapper bound to the module attribute (a tracer)
+#: is the one called.
+COMMANDS = {
+    "compute": ("cmd_compute", "compute one object exactly",
+                ("target", str, TARGETS), _target_options),
+    "table": ("cmd_table", "regenerate a reference table",
+              ("table", int, TABLES), lambda _: FORMAT),
+    "seq": ("cmd_seq", "emit a sequence prefix with checks",
+            ("sequence", str, SEQUENCES),
+            lambda _: {"count": (int, REQUIRED), **FORMAT}),
+    "verify": ("cmd_verify", "run a verification sweep",
+               ("suite", str, conv.SUITES + ("all",)),
+               lambda _: {"n-max": (int, 4), "k-max": (int, 3),
+                          "sorted": (bool, False), **FORMAT}),
+}
+
+
+def _choices(values) -> str:
+    return "{" + ",".join(map(str, values)) + "}"
+
+
+def _option_usage(option, kind, default) -> str:
+    text = f"--{option}"
+    if kind is not bool:
+        text += " " + (_choices(kind) if isinstance(kind, tuple)
+                       else option.upper().replace("-", "_"))
+    if default is REQUIRED:
+        return text
+    if default is None or kind is bool:
+        return f"[{text}]"
+    return f"[{text} (default {default})]"
+
+
+def _usage(command=None) -> str:
+    """Help made from COMMANDS, for one command or for all: a line per set
+    of options that positional choices share, `--format` said once."""
+    lines = [f"usage: bernkit {command or _choices(COMMANDS)} ... "
+             + _option_usage("format", *FORMAT["format"])]
+    if command is None:
+        lines += ["", "Exact computation and verification of Bernoulli-"
+                      "polynomial convolution identities."]
+    for name in [command] if command else COMMANDS:
+        _, about, (_, _, choices), options_for = COMMANDS[name]
+        forms = {}
+        for choice in choices:
+            forms.setdefault(" ".join(
+                _option_usage(o, *spec) for o, spec in
+                options_for(choice).items() if o not in FORMAT),
+                []).append(choice)
+        lines += ["", f"{about}:"] + [
+            f"  bernkit {name} "
+            + f"{_choices(chosen) if len(chosen) > 1 else chosen[0]} {options}"
+            .rstrip() for options, chosen in forms.items()]
+    return "\n".join(lines + [
+        "", "exit codes: 0 success, 1 verification failure, 2 usage error, "
+        "3 internal error"])
+
+
+def _is_option(token: str) -> bool:
+    # a negative number is a value, as in --k -1
+    return token.startswith("-") and not token[1:].isdigit()
+
+
+def _value(kind, text: str, what: str):
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        raise UsageError(f"{what} must be one of {_choices(kind)}, "
+                         f"not {text!r}")
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, not {text!r}") from None
+
+
+def _parse_argv(argv):
+    """(command, arguments) for one command line, with arguments None when
+    it asks for help, and command None for help on every command.  Options
+    take `--opt value` or `--opt=value`, before or after the positional; the
+    last of a repeated option wins.  Anything else raises UsageError."""
+    if not argv:
+        raise UsageError(f"a command is required: {_choices(COMMANDS)}")
+    command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}: "
+                         f"choose from {_choices(COMMANDS)}")
+    if "-h" in rest or "--help" in rest:
+        return command, None
+    _, _, (dest, kind, choices), options_for = COMMANDS[command]
+    known = {}
+    for choice in choices:
+        known.update(options_for(choice))
+    positional, given = None, {}
+    tokens = iter(rest)
+    for token in tokens:
+        if not _is_option(token):
+            if positional is not None:
+                raise UsageError(f"unexpected argument {token!r}")
+            positional = token
+            continue
+        name, eq, text = token.partition("=")
+        option = name[2:]
+        if not name.startswith("--") or option not in known:
+            raise UsageError(f"unknown option {name!r} for {command}")
+        if known[option][0] is bool:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            text = True
+        elif not eq:
+            text = next(tokens, None)
+            if text is None or _is_option(text):
+                raise UsageError(f"{name} needs a value")
+        given[option] = text
+    if positional is None:
+        raise UsageError(f"{command} needs a {dest}: {_choices(choices)}")
+    choice = _value(kind, positional, dest)
+    if choice not in choices:
+        raise UsageError(f"unknown {dest} {positional!r}: "
+                         f"choose from {_choices(choices)}")
+    options = options_for(choice)
+    label = f"{dest} {choice!r}"
+    for option in given:
+        if option not in options:
+            raise UsageError(f"{label} does not take --{option}")
+    args = SimpleNamespace(**{dest: choice})
+    for option, (kind, default) in options.items():
+        if option in given:
+            value = given[option] if kind is bool else \
+                _value(kind, given[option], f"--{option}")
+        elif default is REQUIRED:
+            raise UsageError(f"{label} requires --{option}")
+        else:
+            value = default
+        setattr(args, option.replace("-", "_"), value)
+    return command, args
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
+        command, args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            emit(_usage(command))
+            return 0
+        return globals()[COMMANDS[command][0]](args)
     except UsageError as exc:
         print(f"bernkit: error: {exc}", file=sys.stderr)
         return 2

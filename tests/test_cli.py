@@ -157,6 +157,99 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+    # a sweep with no checks is refused, not passed
+    for argv in (["--n-max", "1"], ["--k-max", "1"]):
+        assert main(["verify", "thm6"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("suite 'thm6' has no checks" in captured.err
+                and "smallest grid is --n-max 2 --k-max 2" in captured.err)
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+#: argv -> (exit code, SHA-256 of stdout), or (0, None) for help, whose
+#: stdout is a usage text.  Every row but the help rows, the abbreviation
+#: and the empty thm6 sweep prints what it printed under argparse.
+GRAMMAR = [
+    ("compute s --n=2 --k=1", 0,
+     "105b60d4796fb7ac928892b39eaf02b938d4bc2cd5f3cefd3d09128f57e4dd7f"),
+    ("compute s --n 2 --k=1 --route=all", 0,
+     "19b236b4c95a68698d11ab6a1c33df7ef6a9b20f897b11ac7fd881fc75ed320f"),
+    ("compute --n 2 --k 1 s", 0,
+     "105b60d4796fb7ac928892b39eaf02b938d4bc2cd5f3cefd3d09128f57e4dd7f"),
+    ("compute s --n 5 --k 1 --n 2", 0,
+     "105b60d4796fb7ac928892b39eaf02b938d4bc2cd5f3cefd3d09128f57e4dd7f"),
+    ("compute a_jkn --k 3 --n 2 --j -1", 0,
+     "0df0e56d4088883b3b7f8cbf7d033abc626aaceeddc1e2152a1a6fb18e39b614"),
+    ("compute F-coeff --k -1 --m 3", 2, EMPTY),
+    ("compute p --n 3 --format latex", 0,
+     "d93ce88fad99733b9502eb809e2d416d0f6cb86a98e6acd7f45a7d94884dc4ed"),
+    ("table 3 --format=json", 0,
+     "9450fe3122ea85b055f881a6e515a98f383b6adfbf7bf5b98e6f4c699472da2c"),
+    ("table 01", 0,
+     "25f19bc6cbaf316a3af401db6161dcfd1b301e346033004ce8b0669020bf9cb8"),
+    ("seq c3 --count 4 --format latex", 0,
+     "bf515594595d7b27c80989d44c5849806bd5bf5791ab75e5822de1212649f9fa"),
+    ("seq a --count=3 --count 5", 0,
+     "88f262347049605f923bc8d8000396be6a800bdd1314a4ddf4be55e8893d9793"),
+    ("verify cor10 --n-max 3 --format json", 0,
+     "e47fc76ef1ab054cb491b3d7d62c369833d2d42745165bfa17892d0c413bb73d"),
+    ("verify --sorted lemma7 --n-max 2 --k-max 2", 0,
+     "0c342bdbd5c90682ae0eb4832a6ccad00a20da334cc9c3013e77837de4a3b814"),
+    ("verify thm1 --k-max 1 --n-max 2 --k-max 2", 0,
+     "cb3339c762ae01f091be130567c623e7d9d9c41f441f29f276ad444a137d60be"),
+    # usage errors: exit 2 and nothing on stdout
+    ("", 2, EMPTY),
+    ("bogus", 2, EMPTY),
+    ("verify bogus", 2, EMPTY),
+    ("table 4", 2, EMPTY),
+    ("table -1", 2, EMPTY),
+    ("table 1 2", 2, EMPTY),
+    ("verify", 2, EMPTY),
+    ("verify all --parallel", 2, EMPTY),
+    ("compute s --n 1 --k 1 --format xml", 2, EMPTY),
+    ("compute p --n x", 2, EMPTY),
+    ("seq a --count 2.5", 2, EMPTY),
+    ("seq a", 2, EMPTY),
+    ("compute s --n 1 --k", 2, EMPTY),
+    ("verify routes --sorted=yes", 2, EMPTY),
+    # changed on purpose: help text, no abbreviations, no empty sweep
+    ("-h", 0, None),
+    ("--help", 0, None),
+    ("verify -h", 0, None),
+    ("compute s --help", 0, None),
+    ("verify thm1 --n-m 2", 2, EMPTY),
+    ("verify thm6 --n-max 1", 2, EMPTY),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GRAMMAR)
+def test_grammar_parity(capsys, argv, code, digest):
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    if digest is None:
+        assert captured.out.startswith("usage: bernkit ")
+        assert captured.err == ""
+    else:
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    if code == 2:
+        assert captured.err.startswith("bernkit: error: ")
+
+
+def test_help_is_made_from_the_tables(capsys):
+    from bernkit.cli import COMMANDS, TARGETS
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for command in COMMANDS:
+        assert f"  bernkit {command} " in out
+    assert main(["compute", "-h"]) == 0
+    out = capsys.readouterr().out
+    for target in TARGETS:
+        assert f"  bernkit compute {target} " in out
+    assert "  bernkit compute p --n N\n" in out
+    assert main(["verify", "all", "-h"]) == 0
+    assert "[--n-max N_MAX (default 4)]" in capsys.readouterr().out
 
 
 def test_table2(capsys):

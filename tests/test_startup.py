@@ -16,7 +16,8 @@ import sys
 import bernkit
 
 #: modules that cost start-up time and that no bernkit computation needs
-HEAVY = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "json")
+HEAVY = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "json",
+         "argparse", "gettext")
 
 
 def test_import_loads_no_heavy_module():

@@ -8,7 +8,7 @@ from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
                          eulerian_poly, higher_bernoulli_poly,
                          polylog_neg_check)
 from .series import (TruncSeries, build_F_direct, build_F_eulerian, build_G,
-                     exp_zx, x_over_expm1_pow)
+                     x_over_expm1_pow)
 from .convolution import (DCoeffTable, SeqTable, VerificationReport,
                           a_coeff_list, a_jkn, a_jkn_from_u,
                           a_jkn_multinomial, a_sequence, c3_recurrence_residual,

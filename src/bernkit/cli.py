@@ -323,7 +323,10 @@ SEQUENCES = {"c": "seq_c", "a": "seq_a", "c3": "seq_c3"}
 def cmd_seq(args) -> int:
     _check_range(args.count >= 1, "need count >= 1")
     table = getattr(conv, SEQUENCES[args.sequence])(args.count)
-    checks = conv.seq_checks(table)
+    try:
+        checks = conv.seq_checks(table)
+    except ValueError as exc:  # too few terms for a check to read
+        raise UsageError(str(exc)) from None
     if args.format == "json":
         emit_json({"object": "seq", "name": table.name, "start": table.start,
                    "values": [fmt_rational(v) for v in table.values],

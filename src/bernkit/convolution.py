@@ -181,7 +181,10 @@ def per_run_memo():
       route at n = n'+1 and by lemma 5's power computation;
     - ("multisum factor", k, t, m): (C(k,t) A_t(y))^m, the factors of
       multisum_poly_multinomial;
-    - "x/(e^x-1), e^{zx}": the series pair of verify_bernoulli_cache.
+    - ("multisum walk", k, n): the enumerated S^{(n)}_{k,nu}(y) of every nu
+      within LEMMA5_ENUMERATION_BUDGET, built by lemma 5 and read by
+      lemma 7 as well;
+    - "x/(e^x-1)": the series of verify_bernoulli_cache.
 
     `run_suite` opens one per call, so nothing outlives a sweep and a fault
     injected into a family cache between sweeps is seen by the next one."""
@@ -207,35 +210,67 @@ def _once_per_run(key, build):
 
 def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
     """S^{(n)}_{k,nu}(y) = sum over weak compositions (j_1..j_n) of nu of
-    prod_i C(k, j_i) A_{j_i}(y), by direct enumeration over the factors
-    C(k, j) A_j(y), j = 0..k, built once per call."""
+    prod_i C(k, j_i) A_{j_i}(y), by direct enumeration: _multisum_walk at
+    this one nu."""
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
     if nu > n * k:
         return UniPoly((), "y")
+    return _multisum_walk(k, n, (nu,))[nu]
+
+
+#: a total's pending last-level products are summed once this many have
+#: gathered, so one large enumeration holds a bounded number of them
+_WALK_CHUNK = 256
+
+
+def _multisum_walk(k: int, n: int, wanted) -> dict[int, UniPoly]:
+    # {nu: S^{(n)}_{k,nu}(y)} for every nu in `wanted` (each in 0..nk), by
+    # one walk over the tuples (j_1..j_n) in [0,k]^n that forms every
+    # composition's product from the factors C(k,j) A_j(y).  A prefix
+    # product is formed once and shared by every total below it; a prefix
+    # whose partial sum can no longer reach a wanted total is dropped.  The
+    # last part's products (prefix, factor) of each total gather in a list
+    # that one dot sums, so each total is normalised once per _WALK_CHUNK
+    # products.
     factors = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
-    return _sum_over_bounded_compositions(nu, n, k, factors.__getitem__,
-                                          UniPoly.constant(1, "y"))
+    one = UniPoly.constant(1, "y")
+    # below[t]: how many wanted totals are < t
+    below = [0]
+    for t in range(n * k + 1):
+        below.append(below[-1] + (t in wanted))
+    pending = {nu: [] for nu in wanted}
+    sums = {}
 
+    def fold(nu):
+        terms = pending[nu]
+        if nu in sums:
+            terms.append((sums[nu], one, 1))
+        sums[nu] = dot(terms, "y")
+        pending[nu] = []
 
-def _sum_over_bounded_compositions(total, parts, bound, factor, prefix):
-    # as _sum_over_compositions, over parts in 0..bound only, for
-    # total <= parts * bound: a first part j leaves total - j for parts - 1
-    # parts of at most `bound` each, so j starts at total - (parts - 1) *
-    # bound and no dead prefix is walked; the last two parts are one sum of
-    # products, as in _sum_over_compositions
-    if parts == 1:
-        return prefix * factor(total)
-    firsts = range(max(0, total - (parts - 1) * bound), min(total, bound) + 1)
-    if parts == 2:
-        return dot(((prefix * factor(j), factor(total - j), 1)
-                    for j in firsts), prefix.var)
-    acc = None
-    for j in firsts:
-        term = _sum_over_bounded_compositions(total - j, parts - 1, bound,
-                                              factor, prefix * factor(j))
-        acc = term if acc is None else acc + term
-    return acc
+    def walk(prefix, total, parts):
+        # prefix: the product of the chosen factors, whose indices sum to
+        # total; parts: how many parts are left to choose
+        if parts == 1:
+            for j, f in enumerate(factors):
+                terms = pending.get(total + j)
+                if terms is not None:
+                    terms.append((prefix, f, 1))
+                    if len(terms) >= _WALK_CHUNK:
+                        fold(total + j)
+            return
+        reach = (parts - 1) * k
+        for j, f in enumerate(factors):
+            s = total + j
+            if below[s + reach + 1] > below[s]:
+                walk(f if prefix is one else prefix * f, s, parts - 1)
+
+    walk(one, 0, n)
+    for nu, terms in pending.items():
+        if terms:
+            fold(nu)
+    return sums
 
 
 def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
@@ -654,7 +689,8 @@ def seq_c3(count: int) -> SeqTable:
 
 
 def seq_checks(table: SeqTable) -> dict[str, bool]:
-    """Per-sequence consistency flags, as emitted by the CLI."""
+    """Per-sequence consistency flags, as emitted by the CLI.  A c3 table
+    of fewer than 3 terms holds no triple to check: ValueError."""
     if table.name == "a":
         return {"positive_integers": all(
             isinstance(v, int) and v > 0 for v in table.values)}
@@ -671,6 +707,9 @@ def seq_checks(table: SeqTable) -> dict[str, bool]:
         return flags
     if table.name == "c3":
         values = list(table.values)
+        if len(values) < 3:
+            raise ValueError("need count >= 3: the c3 recurrence check "
+                             "reads triples of terms")
         ok = all(c3_recurrence_residual(values, n) == 0
                  for n in range(1, len(values) - 1))
         return {"recurrence_residual_zero": ok}
@@ -807,6 +846,17 @@ def _composition_count(k: int, nu: int, n: int) -> int:
                for i in range(n + 1) if nu - i * (k + 1) >= 0)
 
 
+def _multisum_enumerated(k: int, nu: int, n: int) -> UniPoly:
+    # multisum_poly(k, nu, n); inside a sweep, a row of one walk per (k, n)
+    # over every nu whose point is within LEMMA5_ENUMERATION_BUDGET, so the
+    # same points are compared at every grid
+    if _run_memo.get() is None:
+        return multisum_poly(k, nu, n)
+    return _once_per_run(("multisum walk", k, n), lambda: _multisum_walk(
+        k, n, [t for t in range(n * k + 1) if _composition_count(k, t, n)
+               <= LEMMA5_ENUMERATION_BUDGET]))[nu]
+
+
 def verify_lemma5(k: int, nu: int, n: int) -> str | None:
     """Closed coefficient values of the multisum polynomial, plus agreement
     of its independent computations.
@@ -817,11 +867,12 @@ def verify_lemma5(k: int, nu: int, n: int) -> str | None:
     LEMMA5_ENUMERATION_BUDGET compositions (the whole default grid) the
     composition enumeration must equal them too, so three computations are
     compared; above the budget the enumeration is skipped and two are
-    compared.
+    compared.  Inside a sweep the enumeration is one walk per (k, n),
+    shared with lemma 7.
     """
     q = multisum_poly_multinomial(k, nu, n)
     if _composition_count(k, nu, n) <= LEMMA5_ENUMERATION_BUDGET:
-        e = multisum_poly(k, nu, n)
+        e = _multisum_enumerated(k, nu, n)
         if e != q:
             return f"enumeration vs multinomial differ: {e - q!r}"
     p = multisum_poly_power(k, nu, n)
@@ -840,8 +891,13 @@ def verify_lemma5(k: int, nu: int, n: int) -> str | None:
 
 
 def verify_lemma7(k: int, n: int) -> str | None:
-    """Top multisum polynomial equals A_k(y)^n and is divisible by y^n."""
-    top = multisum_poly(k, n * k, n)
+    """Top multisum polynomial equals A_k(y)^n and is divisible by y^n.
+
+    The top polynomial is enumerated.  Inside a sweep that has walked
+    (k, n) for lemma 5 it is read as that walk's nu = nk row; otherwise
+    only nu = nk is enumerated."""
+    rows = (_run_memo.get() or {}).get(("multisum walk", k, n))
+    top = multisum_poly(k, n * k, n) if rows is None else rows[n * k]
     power = eulerian_poly(k) ** n
     if top != power:
         return f"difference {top - power!r}"
@@ -907,25 +963,23 @@ def verify_bernoulli_cache(m: int) -> str | None:
 
     The cache is built by the number recurrence, the comparison value by
     series inversion that never reads the cache, so a corrupted cache entry
-    cannot hide.  Only the x^m coefficient of the product is formed.  Inside
-    a sweep one x/(e^x-1) and one e^{zx} serve every m: they are built to
-    the larger of m and the top published cache entry, and rebuilt only for
-    an m beyond that.
+    cannot hide.  B_m(z) is read off the series's first m+1 coefficients
+    (specialfns._exp_zx_read_off), with no e^{zx} series formed.  Inside a
+    sweep one x/(e^x-1) serves every m: it is built to the larger of m and
+    the top published cache entry, and rebuilt only for an m beyond that.
     """
-    from .series import exp_zx, x_over_expm1_pow
-    from .specialfns import bernoulli_cache
+    from .series import x_over_expm1_pow
+    from .specialfns import _exp_zx_read_off, bernoulli_cache
     cached = bernoulli_poly(m)
     memo = _run_memo.get()
     if memo is None:
-        inverse, exp = x_over_expm1_pow(1, m), exp_zx(m)
+        inverse = x_over_expm1_pow(1, m)
     else:
-        inverse, exp = memo.get("x/(e^x-1), e^{zx}", (None, None))
+        inverse = memo.get("x/(e^x-1)")
         if inverse is None or inverse.order < m:
-            order = max(m, len(bernoulli_cache.polys) - 1)
-            inverse, exp = memo["x/(e^x-1), e^{zx}"] = (
-                x_over_expm1_pow(1, order), exp_zx(order))
-    independent = dot(((inverse.coefficient(i), exp.coefficient(m - i),
-                        factorial(m)) for i in range(m + 1)), "z")
+            inverse = memo["x/(e^x-1)"] = x_over_expm1_pow(
+                1, max(m, len(bernoulli_cache.polys) - 1))
+    independent = _exp_zx_read_off(inverse, m)
     if cached != independent:
         return f"cached {cached!r} != series value {independent!r}"
     return None

@@ -3,8 +3,8 @@
 The ring is Q[z][[x]] cut at a fixed order N, held as a list of UniPoly
 coefficients (index = power of x).  All arithmetic is exact; operations on
 series of different orders truncate to the smaller order.  Builders for the
-generating functions used downstream live here as well: e^{zx}, e^x,
-(x/(e^x-1))^r, and the two constructions of the auxiliary series F_k(x, z).
+generating functions used downstream live here as well: (x/(e^x-1))^r and
+the two constructions of the auxiliary series F_k(x, z).
 """
 
 from __future__ import annotations
@@ -162,13 +162,6 @@ class TruncSeries:
         inverse with polynomial coefficients.
         """
         return self ** -1
-
-
-def exp_zx(order: int) -> TruncSeries:
-    """e^{zx}: coefficient of x^m is z^m/m!."""
-    return TruncSeries(
-        order, [UniPoly.monomial(Fraction(1, factorial(m)), m, "z")
-                for m in range(order + 1)])
 
 
 def x_over_expm1_pow(r: int, order: int) -> TruncSeries:

@@ -11,7 +11,7 @@ import math
 from _thread import allocate_lock
 from fractions import Fraction
 
-from .polycore import UniPoly, binomial, dot, factorial
+from .polycore import UniPoly, binomial
 
 
 class BernoulliCache:
@@ -124,32 +124,50 @@ def eulerian_poly(k: int) -> UniPoly:
 
 
 def higher_bernoulli_poly(m: int, r: int) -> UniPoly:
-    """Order-r Bernoulli polynomial: m! * [x^m] (x/(e^x-1))^r e^{zx}.
-
-    Only the x^m coefficient of the product is formed, as one sum of
-    products over i of [x^i] (x/(e^x-1))^r * z^{m-i}/(m-i)!."""
+    """Order-r Bernoulli polynomial: m! * [x^m] (x/(e^x-1))^r e^{zx}, read
+    off the first m+1 coefficients of (x/(e^x-1))^r by _exp_zx_read_off."""
     if m < 0 or r < 1:
         raise ValueError("need m >= 0 and r >= 1")
     # local import: the series engine builds its generators on this module
-    from .series import exp_zx, x_over_expm1_pow
-    inverse, exp = x_over_expm1_pow(r, m), exp_zx(m)
-    return dot(((inverse.coefficient(i), exp.coefficient(m - i),
-                 factorial(m)) for i in range(m + 1)), "z")
+    from .series import x_over_expm1_pow
+    return _exp_zx_read_off(x_over_expm1_pow(r, m), m)
+
+
+def _exp_zx_read_off(series, m: int) -> UniPoly:
+    # m! [x^m] X(x) e^{zx} for a series X with constant coefficients
+    # X_0..X_m: its z^d coefficient is m!/d! X_{m-d}, formed as an integer
+    # numerator over the lcm of the X_i denominators
+    xs = [series.coefficient(i) for i in range(m + 1)]
+    den = math.lcm(*[x.den for x in xs])
+    nums = [0] * (m + 1)
+    scale = 1  # m!/d!
+    for d in range(m, -1, -1):
+        x = xs[m - d]
+        if x.nums:
+            nums[d] = scale * x.nums[0] * (den // x.den)
+        scale *= d
+    return UniPoly._build(nums, den, "z")
 
 
 def polylog_neg_check(k: int, order: int) -> bool:
-    """True iff A_k(y)/(1-y)^{k+1} = sum_m m^k y^m through y^order."""
+    """True iff A_k(y)/(1-y)^{k+1} = sum_m m^k y^m through y^order.
+
+    With A_k = sum_m a_m y^m over its common denominator d, the expansion
+    sum_m e_m y^m satisfies (1-y)^{k+1} sum_m e_m y^m = A_k(y), so
+
+        d e_m = d a_m - sum_{j=1}^{k+1} (-1)^j C(k+1,j) d e_{m-j},
+
+    stepped on integers and compared with d m^k."""
     if k < 1 or order < 1:
         raise ValueError("need k >= 1 and order >= 1")
-    from .series import TruncSeries
     a_k = eulerian_poly(k)
-    numer = TruncSeries(
-        order, [UniPoly.constant(a_k.coefficient(j), "y")
-                for j in range(order + 1)], var="y")
-    denom = TruncSeries(
-        order, [UniPoly.constant(binomial(k + 1, j) * (-1) ** j, "y")
-                for j in range(order + 1)], var="y")
-    expansion = numer * denom.inverse()
-    return all(
-        expansion.coefficient(m) == UniPoly.constant(Fraction(m) ** k, "y")
-        for m in range(order + 1))
+    nums, den = a_k.nums, a_k.den
+    weights = [(-1) ** j * binomial(k + 1, j) for j in range(1, k + 2)]
+    e: list[int] = []
+    for m in range(order + 1):
+        e_m = nums[m] if m < len(nums) else 0
+        e_m -= sum(w * e[m - j] for j, w in enumerate(weights[:m], 1))
+        if e_m != m ** k * den:
+            return False
+        e.append(e_m)
+    return True

@@ -164,6 +164,12 @@ def test_usage_errors(capsys):
         assert captured.out == ""
         assert ("suite 'thm6' has no checks" in captured.err
                 and "smallest grid is --n-max 2 --k-max 2" in captured.err)
+    # c3's recurrence check reads triples, so fewer terms check nothing
+    for count in ("1", "2"):
+        assert main(["seq", "c3", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need count >= 3" in captured.err
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()

@@ -35,6 +35,29 @@ def multisum_power_nfold(k, n):
     return power
 
 
+def multisum_by_recursion(k, nu, n):
+    # S^{(n)}_{k,nu}(y) by one recursion per nu over the first part j, which
+    # leaves nu - j for n - 1 parts of at most k each; the last two parts
+    # are one sum of products.  The reference for the composition walk.
+    factors = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
+
+    def rec(total, parts, prefix):
+        if parts == 1:
+            return prefix * factors[total]
+        firsts = range(max(0, total - (parts - 1) * k), min(total, k) + 1)
+        if parts == 2:
+            return dot(((prefix * factors[j], factors[total - j], 1)
+                        for j in firsts), "y")
+        acc = UniPoly((), "y")
+        for j in firsts:
+            acc = acc + rec(total - j, parts - 1, prefix * factors[j])
+        return acc
+
+    if nu > n * k:
+        return UniPoly((), "y")
+    return rec(nu, n, UniPoly.constant(1, "y"))
+
+
 def s_eulerian_flat(n, k):
     # the eulerian route's closing sum sum_j P_j(z) D_j(z) as one flat sum,
     # every falling product P_j built afresh and every d-row read from the
@@ -140,6 +163,35 @@ def test_multisum_top_is_eulerian_power():
 
 def test_multisum_beyond_top_is_zero():
     assert not multisum_poly(2, 7, 3)
+
+
+def test_multisum_walk_matches_the_per_nu_recursion():
+    import bernkit.convolution as conv
+    for k in range(1, 4):
+        for n in range(1, 5):
+            everything = conv._multisum_walk(k, n, range(n * k + 1))
+            for nu in range(n * k + 2):
+                expected = multisum_by_recursion(k, nu, n)
+                assert multisum_poly(k, nu, n) == expected, (k, nu, n)
+                if nu <= n * k:
+                    assert everything[nu] == expected, (k, nu, n)
+
+
+def test_multisum_walk_at_the_budget_edge():
+    # at k = 5, n = 8 the budget admits only the tails nu <= 4 and nu >= 36
+    # (330 compositions each), so the sweep's walk prunes every prefix
+    # bound for the middle; nu = 5 and 35 (792) lie just outside it.  All
+    # four pass _WALK_CHUNK, so their sums are folded in chunks.
+    import bernkit.convolution as conv
+    with per_run_memo():
+        assert conv._multisum_enumerated(5, 4, 8) == multisum_by_recursion(
+            5, 4, 8)
+        rows = conv._run_memo.get()[("multisum walk", 5, 8)]
+    assert sorted(rows) == [0, 1, 2, 3, 4, 36, 37, 38, 39, 40]
+    for nu, row in rows.items():
+        assert row == multisum_by_recursion(5, nu, 8), nu
+    for nu in (5, 35):
+        assert multisum_poly(5, nu, 8) == multisum_by_recursion(5, nu, 8)
 
 
 def test_multisum_two_computations_agree():
@@ -533,8 +585,32 @@ def test_s_direct_does_not_use_the_pruned_enumeration(monkeypatch):
         raise AssertionError("s_direct walked the pruned enumeration")
 
     expected = s_series(4, 3)
-    monkeypatch.setattr(conv, "_sum_over_bounded_compositions", forbidden)
+    monkeypatch.setattr(conv, "_multisum_walk", forbidden)
     assert s_direct(4, 3) == expected
+
+
+def test_run_suite_walks_once_per_k_and_n(monkeypatch):
+    # lemma 5 and lemma 7 read one walk per (k, n); no check enumerates a
+    # multisum polynomial on its own
+    import bernkit.convolution as conv
+    walks = []
+    walk = conv._multisum_walk
+    monkeypatch.setattr(conv, "_multisum_walk",
+                        lambda k, n, wanted: walks.append((k, n, list(wanted)))
+                        or walk(k, n, wanted))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check enumerated outside the walk")
+
+    monkeypatch.setattr(conv, "multisum_poly", forbidden)
+    reports = conv.run_suite("all", 4, 3)
+    assert all(r.passed for r in reports)
+    assert sorted((k, n) for k, n, _ in walks) == [
+        (k, n) for k in range(1, 4) for n in range(1, 5)]
+    # the default grid is within the budget, so each walk covers every nu,
+    # the lemma-7 row nu = nk among them
+    assert all(wanted == list(range(n * k + 1)) for k, n, wanted in walks)
+    assert sum(r.statement == "lemma7" for r in reports) == 12
 
 
 def test_lemma5_above_the_budget_skips_the_enumeration(monkeypatch):

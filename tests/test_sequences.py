@@ -145,6 +145,9 @@ def test_seq_tables_and_checks():
     t = seq_c3(6)
     assert t.start == 1
     assert seq_checks(t) == {"recurrence_residual_zero": True}
+    for count in (1, 2):  # no triple, so nothing to check
+        with pytest.raises(ValueError):
+            seq_checks(seq_c3(count))
 
     with pytest.raises(ValueError):
         seq_a(0)

@@ -5,12 +5,18 @@ import pytest
 
 from bernkit.polycore import UniPoly, factorial
 from bernkit.series import (TruncSeries, build_F_direct, build_F_eulerian,
-                            build_G, exp_zx, x_over_expm1_pow)
+                            build_G, x_over_expm1_pow)
 from bernkit.specialfns import bernoulli_number, bernoulli_poly
 
 
 def const_series(values, order, var="z"):
     return TruncSeries(order, [UniPoly.constant(v, var) for v in values], var)
+
+
+def exp_zx(order):
+    # e^{zx}: the coefficient of x^m is z^m/m!
+    return TruncSeries(order, [UniPoly.monomial(Fraction(1, factorial(m)), m)
+                               for m in range(order + 1)])
 
 
 # 1 - e^x through x^4: a zero constant term, so no inverse
@@ -132,13 +138,6 @@ def test_inverse_requires_unit():
         TruncSeries(3, [UniPoly([0, 1], "z")]).inverse()
 
 
-def test_exp_zx():
-    s = exp_zx(2)
-    assert s.coefficient(0) == UniPoly([1], "z")
-    assert s.coefficient(1) == UniPoly([0, 1], "z")
-    assert s.coefficient(2) == UniPoly([0, 0, Fraction(1, 2)], "z")
-
-
 def test_bernoulli_generating_function():
     # (x/(e^x-1)) e^{zx} has coefficients B_m(z)/m!
     s = x_over_expm1_pow(1, 8) * exp_zx(8)
@@ -212,34 +211,30 @@ def test_bernoulli_cache_check_grows_its_series_within_a_run(monkeypatch):
     for name in ("numbers", "polys"):
         monkeypatch.setattr(bernoulli_cache, name,
                             getattr(bernoulli_cache, name)[:9])
-    orders, exp_orders = _record_comparison_orders(monkeypatch)
+    orders = _record_comparison_orders(monkeypatch)
     with per_run_memo():
         for m in range(41):
             assert verify_bernoulli_cache(m) is None, m
     assert orders[0] == 8
     assert orders[-1] == 40
     assert orders == sorted(set(orders))
-    assert exp_orders == orders  # one e^{zx} per x/(e^x-1), not one per m
 
 
 def test_bernoulli_cache_check_outside_a_run_builds_per_call(monkeypatch):
     from bernkit.convolution import verify_bernoulli_cache
-    orders, exp_orders = _record_comparison_orders(monkeypatch)
+    orders = _record_comparison_orders(monkeypatch)
     assert verify_bernoulli_cache(5) is None
     assert verify_bernoulli_cache(5) is None
-    assert orders == exp_orders == [5, 5]
+    assert orders == [5, 5]
 
 
 def _record_comparison_orders(monkeypatch):
-    # the orders to which the Bernoulli cache check builds x/(e^x-1) and
-    # e^{zx}, in call order
+    # the orders to which the Bernoulli cache check builds x/(e^x-1), in
+    # call order
     import bernkit.series as series
-    orders, exp_orders = [], []
-    build, build_exp = series.x_over_expm1_pow, series.exp_zx
+    orders = []
+    build = series.x_over_expm1_pow
     monkeypatch.setattr(series, "x_over_expm1_pow",
                         lambda r, order: orders.append(order)
                         or build(r, order))
-    monkeypatch.setattr(series, "exp_zx",
-                        lambda order: exp_orders.append(order)
-                        or build_exp(order))
-    return orders, exp_orders
+    return orders

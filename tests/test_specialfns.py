@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from bernkit.polycore import UniPoly, factorial, falling_product
-from bernkit.series import exp_zx, x_over_expm1_pow
+from bernkit.convolution import verify_polylog
+from bernkit.polycore import UniPoly, binomial, factorial, falling_product
+from bernkit.series import TruncSeries, x_over_expm1_pow
 from bernkit.specialfns import (BernoulliCache, bernoulli_number,
-                                bernoulli_poly, eulerian_number,
-                                eulerian_poly, higher_bernoulli_poly,
-                                polylog_neg_check)
+                                bernoulli_poly, eulerian_cache,
+                                eulerian_number, eulerian_poly,
+                                higher_bernoulli_poly, polylog_neg_check)
 
 # golden rows: B_k(z) and A_k(y) for k <= 6, ascending coefficients
 BERNOULLI_TABLE = {
@@ -123,7 +124,9 @@ def test_higher_bernoulli():
 def test_higher_bernoulli_matches_the_full_series_product():
     for r in range(1, 6):
         for m in range(13):
-            product = x_over_expm1_pow(r, m) * exp_zx(m)
+            exp_zx = TruncSeries(m, [UniPoly.monomial(
+                Fraction(1, factorial(i)), i) for i in range(m + 1)])
+            product = x_over_expm1_pow(r, m) * exp_zx
             assert (higher_bernoulli_poly(m, r)
                     == factorial(m) * product.coefficient(m)), (m, r)
 
@@ -132,6 +135,54 @@ def test_polylog_check():
     assert polylog_neg_check(2, 6)
     assert polylog_neg_check(1, 5)
     assert polylog_neg_check(6, 12)
+
+
+def polylog_check_by_series(k, order):
+    # eq. 2.8 by the truncated series product A_k(y) * ((1-y)^{k+1})^{-1},
+    # the reference for polylog_neg_check's integer recurrence
+    a_k = eulerian_poly(k)
+    numer = TruncSeries(
+        order, [UniPoly.constant(a_k.coefficient(j), "y")
+                for j in range(order + 1)], var="y")
+    denom = TruncSeries(
+        order, [UniPoly.constant(binomial(k + 1, j) * (-1) ** j, "y")
+                for j in range(order + 1)], var="y")
+    expansion = numer * denom.inverse()
+    return all(
+        expansion.coefficient(m) == UniPoly.constant(Fraction(m) ** k, "y")
+        for m in range(order + 1))
+
+
+def test_polylog_check_matches_the_series_expansion():
+    for k in range(1, 7):
+        assert polylog_neg_check(k, 20) is polylog_check_by_series(k, 20)
+        assert polylog_neg_check(k, 20), k
+
+
+def _corrupted_eulerian_polys(k):
+    # A_k with one coefficient moved by 1/2, or by 1, and A_k / 2, whose
+    # numerators over its denominator are A_k's own
+    a_k = eulerian_poly(k)
+    for delta in (Fraction(1, 2), 1):
+        for j in range(k + 1):
+            coeffs = list(a_k.coeffs)
+            coeffs[j] += delta
+            yield UniPoly(coeffs, "y")
+    yield a_k * Fraction(1, 2)
+
+
+def test_polylog_check_fails_on_a_corrupted_eulerian_polynomial(monkeypatch):
+    # the recurrence, the series reference and the eq. 2.8 check all fail
+    for k in range(1, 7):
+        for broken in _corrupted_eulerian_polys(k):
+            polys = list(eulerian_cache.polys)
+            polys[k] = broken
+            monkeypatch.setattr(eulerian_cache, "polys", polys)
+            assert polylog_neg_check(k, 20) is False, broken
+            assert not polylog_check_by_series(k, 20), broken
+            assert verify_polylog(k), broken
+            monkeypatch.undo()
+    assert verify_polylog(3) is None
 
 
 def test_input_validation():

@@ -16,15 +16,17 @@ sequences attached to their linear coefficients.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from itertools import product
+from operator import add, mul
 
 from .polycore import (UniPoly, binomial, dot, factorial, falling_product,
-                       multinomial)
+                       interpolate, multinomial)
 from .specialfns import bernoulli_poly, eulerian_poly, higher_bernoulli_poly
 from .series import build_F_direct
 
@@ -33,47 +35,123 @@ from .series import build_F_direct
 # the three routes to S[n,k](z)
 # ---------------------------------------------------------------------------
 
-def _sum_over_compositions(total, parts, factor, prefix):
-    # sum over weak compositions (j_1..j_parts) of `total` of prod factor(j_i),
-    # carrying the partial product so prefixes are shared; the last two parts
-    # are one sum of products, each composition's product still formed
-    if parts == 1:
-        return prefix * factor(total)
-    if parts == 2:
-        return dot(((prefix * factor(j), factor(total - j), 1)
-                    for j in range(total + 1)), prefix.var)
-    acc = None
-    for j in range(total + 1):
-        f = factor(j)
-        if not f:
-            continue
-        term = _sum_over_compositions(total - j, parts - 1, factor, prefix * f)
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else prefix * 0
-
-
 def s_direct(n: int, k: int) -> UniPoly:
     """S[n,k](z) by brute-force enumeration of the defining double sum.
 
     Deliberately naive; this is the reference oracle for the other routes.
+    Every polynomial is held by its values at z = 0..D+1, D = (k+1)n + k:
+    each composition's product has degree exactly D, so D bounds deg S.
+    The factors g_j = B_{k+1+j}(z)/(k+1+j) are evaluated once, as integer
+    numerators over their own denominators; the walk enumerates every weak
+    composition and forms its product point by point, weighted by the
+    multinomial t!/prod j_i! in place of 1/prod j_i!.  One exact
+    interpolation recovers S, and raises ArithmeticError unless the
+    difference of order D+1, at the extra point, vanishes.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    cache: dict[int, UniPoly] = {}
-
-    def factor(j: int) -> UniPoly:
-        if j not in cache:
-            cache[j] = bernoulli_poly(k + 1 + j) * Fraction(
-                1, factorial(j) * (k + 1 + j))
-        return cache[j]
-
-    total = UniPoly((), "z")
-    one = UniPoly.constant(1, "z")
+    degree = (k + 1) * n + k
+    top = (k + 1) * (n - 1) + k  # the one part of m = 1
+    powers = [[z ** i for i in range(degree + 1)]
+              for z in range(degree + 2)]
+    factors, dens = {}, {}
+    # a part of m >= 2 parts is at most top - k - 1; top first, so the
+    # Bernoulli cache grows once
+    for j in [top, *range(top - k)]:
+        b = bernoulli_poly(k + 1 + j)
+        values = [sum(map(mul, b.nums, pw)) for pw in powers]
+        d = b.den * (k + 1 + j)
+        g = math.gcd(d, *values)
+        factors[j] = [v // g for v in values]
+        dens[j] = d // g
+    walk = _PointWalk(factors, dens, degree + 2)
+    sums = []
     for m in range(1, n + 1):
         t = (k + 1) * (n - m) + k
         weight = binomial(n + 1, m) * factorial(k) ** (n - m) * (-1) ** (k * m)
-        total = total + weight * _sum_over_compositions(t, m, factor, one)
-    return total
+        sums.append((weight, factorial(t) * walk.den(t, m), walk.sum(t, m)))
+    den = math.lcm(*[d for _, d, _ in sums])
+    total = [0] * (degree + 2)
+    for weight, d, values in sums:
+        scale = weight * (den // d)
+        total = [x + scale * v for x, v in zip(total, values)]
+    return interpolate(total, den, degree)
+
+
+class _PointWalk:
+    """Sums over weak compositions of products of point-value factors.
+
+    factors[j] holds the numerators of g_j at the points over dens[j].  The
+    compositions of `rest` into `parts` parts are summed over
+    den(rest, parts), the lcm of their products' denominators, so no
+    product carries a denominator it does not need (one common denominator
+    for every factor would put its full size into every part).  The
+    weighted factor
+
+        C(rest, j) * den(rest, parts) / (dens[j] * den(rest - j, parts - 1))
+        * factors[j]
+
+    scales a composition's remaining parts to their subtree's denominator.
+    Weighted factors and the weighted last-two-part products are formed
+    once per (rest, parts, j) and per rest; that is associativity, and the
+    walk still forms one product per composition, prefix by pair.
+    """
+
+    def __init__(self, factors: dict[int, list[int]], dens: dict[int, int],
+                 points: int):
+        self.factors = factors
+        self.dens = dens
+        self.points = points
+        self._subtree_dens: dict[tuple[int, int], int] = {}
+        self._weighted: dict[tuple[int, int, int], list[int]] = {}
+        self._pairs: dict[int, list[list[int]]] = {}
+
+    def den(self, rest: int, parts: int) -> int:
+        if parts == 1:
+            return self.dens[rest]
+        key = (rest, parts)
+        if key not in self._subtree_dens:
+            self._subtree_dens[key] = math.lcm(*[
+                self.dens[j] * self.den(rest - j, parts - 1)
+                for j in range(rest + 1)])
+        return self._subtree_dens[key]
+
+    def weighted(self, rest: int, parts: int, j: int) -> list[int]:
+        key = (rest, parts, j)
+        if key not in self._weighted:
+            c = binomial(rest, j) * (self.den(rest, parts) // (
+                self.dens[j] * self.den(rest - j, parts - 1)))
+            self._weighted[key] = [c * v for v in self.factors[j]]
+        return self._weighted[key]
+
+    def pairs(self, rest: int) -> list[list[int]]:
+        if rest not in self._pairs:
+            self._pairs[rest] = [
+                list(map(mul, self.weighted(rest, 2, j),
+                         self.factors[rest - j]))
+                for j in range(rest + 1)]
+        return self._pairs[rest]
+
+    def sum(self, total: int, parts: int) -> list[int]:
+        """The numerators, over den(total, parts), of the sum over weak
+        compositions (j_1..j_parts) of `total` of
+        total!/prod j_i! * prod g_{j_i}, at every point."""
+        if parts == 1:
+            return self.factors[total]
+        return self._walk(total, parts, [1] * self.points,
+                          [0] * self.points)
+
+    def _walk(self, rest, parts, prefix, acc):
+        # acc plus prefix times every composition of rest into parts parts
+        if parts == 2:
+            for pair in self.pairs(rest):
+                acc = list(map(add, acc, map(mul, prefix, pair)))
+            return acc
+        for j in range(rest + 1):
+            acc = self._walk(
+                rest - j, parts - 1,
+                list(map(mul, prefix, self.weighted(rest, parts, j))), acc)
+        return acc
 
 
 def s_series(n: int, k: int) -> UniPoly:

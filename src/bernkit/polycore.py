@@ -8,6 +8,8 @@ the arithmetic runs on plain ``int``s with one gcd normalisation when a
 result is built.  ``dot`` forms a whole sum of products that way: every
 product goes into one integer list over one common denominator, so a
 convolution costs one normalisation instead of one per ``*`` and ``+``.
+``interpolate`` builds the same form from a polynomial's integer values at
+0..D+1 over one denominator, and refuses values of degree above D.
 ``coeffs`` presents the coefficients as reduced ``fractions.Fraction``s; it
 is built on first use and cached.  Each polynomial carries a symbolic
 variable tag ("z" or "y"); the tag is metadata for display, but mixing tags
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from operator import sub
 
 #: degree of the zero polynomial (a sentinel below every integer, never -1)
 NEG_INFINITY = float("-inf")
@@ -330,6 +333,40 @@ def dot(terms: Iterable[tuple[UniPoly, UniPoly, int | Fraction]],
     for a, b, s, d in live:
         _mul_add(out, a, b, s * (den // d))
     return UniPoly._build(out, den, var)
+
+
+def interpolate(values: Sequence[int], den: int, degree: int) -> UniPoly:
+    """The polynomial p(z) of degree <= `degree` with p(i) = values[i] / den
+    at the integer points i = 0..degree+1, by Newton forward differences.
+
+    The point degree+1 is the check: its difference of order degree+1 must
+    vanish, and ArithmeticError is raised when it does not, so values of a
+    polynomial of higher degree are refused instead of being interpolated
+    through the first degree+1 points.  With c_i the i-th difference at 0,
+    p(z) = sum_i c_i C(z, i); times degree! that is integer throughout, and
+    the division by den * degree! happens once, in the canonical form.
+    """
+    if degree < 0 or len(values) != degree + 2:
+        raise ValueError(
+            f"need degree >= 0 and degree + 2 values, got degree {degree} "
+            f"and {len(values)} values")
+    row = list(values)
+    heads = []
+    for _ in range(degree + 1):
+        heads.append(row[0])
+        row = list(map(sub, row[1:], row[:-1]))
+    if row[0]:
+        raise ArithmeticError(
+            f"the values are not those of a polynomial of degree <= {degree}: "
+            f"difference {degree + 1} is {row[0]}/{den}")
+    # Horner's rule in the Newton basis: acc <- acc * (z - i) + c_i degree!/i!
+    acc = [heads[degree]]
+    scale = 1
+    for i in range(degree - 1, -1, -1):
+        scale *= i + 1
+        acc = list(map(sub, [0] + acc, [i * c for c in acc] + [0]))
+        acc[0] += heads[i] * scale
+    return UniPoly._build(acc, den * scale, "z")
 
 
 def falling_product(a: int, b: int, length: int) -> UniPoly:

@@ -255,7 +255,7 @@ def test_eulerian_route_reads_no_enumeration_or_bernoulli_data(monkeypatch):
         raise AssertionError("the eulerian route read a forbidden source")
 
     for module, name in [(conv, "multisum_poly"),
-                         (conv, "_sum_over_compositions"),
+                         (conv, "_PointWalk"),
                          (conv, "bernoulli_poly"), (conv, "build_F_direct"),
                          (sf, "bernoulli_poly"), (sf, "bernoulli_number"),
                          (sf.BernoulliCache, "ensure")]:
@@ -587,6 +587,44 @@ def test_s_direct_does_not_use_the_pruned_enumeration(monkeypatch):
     expected = s_series(4, 3)
     monkeypatch.setattr(conv, "_multisum_walk", forbidden)
     assert s_direct(4, 3) == expected
+
+
+def test_s_direct_forms_no_kernel_product(monkeypatch):
+    # the direct route multiplies point values, so it shares neither the
+    # convolution loop nor a construction of the series or eulerian route
+    import bernkit.convolution as conv
+    import bernkit.polycore as pc
+    import bernkit.specialfns as sf
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("s_direct reached a forbidden kernel or route")
+
+    expected = s_series(4, 3)
+    for module, name in [(pc, "_mul_add"), (pc, "dot"), (conv, "dot"),
+                         (conv, "build_F_direct"), (conv, "multisum_power"),
+                         (conv, "_multisum_walk"), (conv, "eulerian_poly"),
+                         (sf, "eulerian_poly")]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert s_direct(4, 3) == expected
+
+
+@pytest.mark.parametrize("n,k", [(5, 3), (7, 2), (9, 1), (3, 6), (6, 5)])
+def test_direct_matches_eulerian_at_the_routes_grid(n, k):
+    assert s_direct(n, k) == s_eulerian(n, k)
+
+
+def test_s_direct_refuses_a_sum_above_its_degree_bound(monkeypatch):
+    # the extra point is a check: a product of degree D + 1 in the sum
+    # makes the interpolation raise instead of returning a wrong S
+    import bernkit.convolution as conv
+    real = conv.bernoulli_poly
+
+    def one_degree_up(m):
+        return real(m) * Z if m == 2 else real(m)
+
+    monkeypatch.setattr(conv, "bernoulli_poly", one_degree_up)
+    with pytest.raises(ArithmeticError):
+        s_direct(2, 1)
 
 
 def test_run_suite_walks_once_per_k_and_n(monkeypatch):

@@ -15,7 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bernkit.polycore import NEG_INFINITY, UniPoly, dot  # noqa: E402
+from bernkit.polycore import (NEG_INFINITY, UniPoly, dot,  # noqa: E402
+                              interpolate)
 
 
 class RefPoly:
@@ -161,6 +162,42 @@ def test_evaluation_matches_reference(a, t):
     value = UniPoly(a)(t)
     assert type(value) is Fraction
     assert value == RefPoly(a)(t)
+
+
+def values_over_one_denominator(r: RefPoly, points: int):
+    # r(0..points-1) as integer numerators over their lcm denominator
+    values = [r(Fraction(z)) for z in range(points)]
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(scalars, max_size=13), st.integers(0, 2))
+def test_interpolation_recovers_the_reference(a, extra):
+    r = RefPoly(a)
+    degree = max(len(r.cs) - 1, 0) + extra
+    nums, den = values_over_one_denominator(r, degree + 2)
+    got = interpolate(nums, den, degree)
+    assert_canonical(got)
+    assert got.var == "z"
+    assert same(got, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(scalars, min_size=1, max_size=12), scalars.filter(bool))
+def test_interpolation_refuses_values_above_the_degree_bound(a, lead):
+    # a polynomial of degree exactly D + 1, fed in with the bound D
+    r = RefPoly(list(a) + [lead])
+    degree = len(r.cs) - 2
+    nums, den = values_over_one_denominator(r, degree + 2)
+    with pytest.raises(ArithmeticError):
+        interpolate(nums, den, degree)
+
+
+def test_interpolation_needs_degree_plus_two_values():
+    for values, degree in (([], -1), ([1], 0), ([1, 2, 3], 0), ([1, 2], 1)):
+        with pytest.raises(ValueError):
+            interpolate(values, 1, degree)
 
 
 @settings(max_examples=100, deadline=None)

@@ -373,6 +373,18 @@ def test_verify_all_output_matches_pinned_digest(capsys, extra, digest):
      "9450fe3122ea85b055f881a6e515a98f383b6adfbf7bf5b98e6f4c699472da2c"),
     (["table", "3", "--format", "latex"],
      "73b57791e04c4c6384cac54a6f5727be4117c178dfbb62fbdc057a390a8a677c"),
+    (["seq", "a", "--count", "40", "--format", "json"],
+     "6aa099d46f0ca3bfd270b202fbd3390b5603021f120d4a1152b572abc90d25c8"),
+    (["seq", "a", "--count", "40", "--format", "latex"],
+     "a8d9dda9df5b7531f9a4d3e494b42583bfd7e7d5218d9d3d3ebd205cc1f6663e"),
+    (["seq", "c", "--count", "30", "--format", "json"],
+     "18836f93fe3ae7caaabacd6f9942b1d9838d2c14254ef7a0c92b8320d63a10f5"),
+    (["seq", "c", "--count", "30", "--format", "latex"],
+     "568be9c103ba3b9ef0fd989186d3ed8ba48d1778154bc0662d4f30ed6d00c5bb"),
+    (["seq", "c3", "--count", "20", "--format", "json"],
+     "6bf492445d25817f033207a692a07a6ef6d10bec6141e600dee728594eef1b96"),
+    (["seq", "c3", "--count", "20", "--format", "latex"],
+     "d638ec7c6918f5d2383b5b6e23c54189212bc6b08bc09e17948912376e840547"),
 ])
 def test_sequence_output_matches_pinned_digest(capsys, argv, digest):
     code, out = run(argv, capsys)

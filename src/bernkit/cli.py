@@ -39,16 +39,12 @@ def fmt_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def poly_coeff_strings(p: UniPoly) -> list[str]:
     return [fmt_rational(c) for c in p.coeffs]
 
 
 def poly_from_document(doc: dict) -> UniPoly:
-    return UniPoly([parse_rational(s) for s in doc["coefficients"]],
+    return UniPoly([Fraction(s) for s in doc["coefficients"]],
                    doc["variable"])
 
 
@@ -122,8 +118,8 @@ def _check_range(cond, message):
         raise UsageError(message)
 
 
-def _label(params):
-    return " ".join(f"{k}={v}" for k, v in params.items())
+def _label(pairs):
+    return " ".join(f"{k}={v}" for k, v in pairs)
 
 
 def _poly_fields(p):
@@ -143,21 +139,22 @@ def _print_poly_result(obj, params, p, fmt, routes=None):
     if fmt == "json":
         emit_json(_poly_document(obj, params, p, routes))
     elif routes is None:
-        emit(f"{obj} {_label(params)}: {render_poly(p, fmt)}")
+        emit(f"{obj} {_label(params.items())}: {render_poly(p, fmt)}")
     else:
         for name, q in routes.items():
-            emit(f"{obj} {_label(params)} [{name}]: {render_poly(q, fmt)}")
+            emit(f"{obj} {_label(params.items())} [{name}]: "
+                 f"{render_poly(q, fmt)}")
         agree = len(set(routes.values())) == 1
         emit(f"agreement: {agree}")
 
 
-def _print_d_coeffs(obj, params, table, fmt):
+def _print_d_coeffs(obj, params, d, fmt):
     if fmt == "json":
         emit_json({"object": obj, "params": params, "variable": "y",
-                   "coefficients": [fmt_rational(d) for d in table.d]})
+                   "coefficients": [fmt_rational(x) for x in d]})
     else:
-        emit(f"{obj} {_label(params)}: {list(table.d)}")
-        emit(f"as polynomial: {render_poly(UniPoly(table.d, 'y'), fmt)}")
+        emit(f"{obj} {_label(params.items())}: {list(d)}")
+        emit(f"as polynomial: {render_poly(UniPoly(d, 'y'), fmt)}")
 
 
 def _print_a_jkn(obj, params, values, fmt, routes=None):
@@ -169,7 +166,7 @@ def _print_a_jkn(obj, params, values, fmt, routes=None):
         emit_json({"object": obj, "params": params, "variable": "y",
                    "coefficients": [fmt_rational(v) for v in values]})
     else:
-        emit(f"{obj} {_label(params)}: "
+        emit(f"{obj} {_label(params.items())}: "
              f"{values[0] if 'j' in params else values}")
 
 
@@ -178,7 +175,7 @@ def _print_u_nu(obj, params, value, fmt):
         emit_json({"object": obj, "params": params,
                    "value": fmt_rational(value)})
     else:
-        emit(f"{obj} {_label(params)}: {value}")
+        emit(f"{obj} {_label(params.items())}: {value}")
 
 
 def _f_coefficient(route: str, k: int, m: int) -> UniPoly:
@@ -308,7 +305,7 @@ def cmd_table(args) -> int:
             cells = [poly_plain(p) if len(polys) == 1
                      else f"{name} = {poly_plain(p)}"
                      for name, p in polys.items()]
-            emit(f"{_label(params)}: {'   '.join(cells)}")
+            emit(f"{_label(params.items())}: {'   '.join(cells)}")
     return 0
 
 
@@ -316,30 +313,34 @@ def cmd_table(args) -> int:
 # seq
 # ---------------------------------------------------------------------------
 
-#: sequence name -> the function in `convolution` that tabulates it
-SEQUENCES = {"c": "seq_c", "a": "seq_a", "c3": "seq_c3"}
+#: sequence name -> (the function in `convolution` that tabulates it, the
+#: index of its first term)
+SEQUENCES = {"c": ("c_sequence", 0), "a": ("a_sequence", 0),
+             "c3": ("c3_sequence", 1)}
 
 
 def cmd_seq(args) -> int:
     _check_range(args.count >= 1, "need count >= 1")
-    table = getattr(conv, SEQUENCES[args.sequence])(args.count)
+    name = args.sequence
+    function, start = SEQUENCES[name]
+    values = getattr(conv, function)(args.count)
     try:
-        checks = conv.seq_checks(table)
+        checks = conv.seq_checks(name, values)
     except ValueError as exc:  # too few terms for a check to read
         raise UsageError(str(exc)) from None
     if args.format == "json":
-        emit_json({"object": "seq", "name": table.name, "start": table.start,
-                   "values": [fmt_rational(v) for v in table.values],
+        emit_json({"object": "seq", "name": name, "start": start,
+                   "values": [fmt_rational(v) for v in values],
                    "checks": checks})
         return 0
     if args.format == "latex":
         emit(_latex_tabular(
             ["$n$", "value"],
-            [[str(table.start + i), f"${fmt_latex_rational(v)}$"]
-             for i, v in enumerate(table.values)]))
+            [[str(start + i), f"${fmt_latex_rational(v)}$"]
+             for i, v in enumerate(values)]))
         return 0
-    for i, v in enumerate(table.values):
-        emit(f"{table.name}_{table.start + i} = {v}")
+    for i, v in enumerate(values):
+        emit(f"{name}_{start + i} = {v}")
     for key, ok in checks.items():
         emit(f"check {key}: {ok}")
     return 0
@@ -386,14 +387,14 @@ def cmd_verify(args) -> int:
     elif args.format == "latex":
         emit(_latex_tabular(
             ["statement", "params", "result"],
-            [[r.statement, r.label(), "pass" if r.passed else "FAIL"]
+            [[r.statement, _label(r.params), "pass" if r.passed else "FAIL"]
              for r in reports]))
     else:
         for r in reports:
             if r.passed:
-                emit(f"PASS {r.statement} {r.label()}")
+                emit(f"PASS {r.statement} {_label(r.params)}")
             else:
-                emit(f"FAIL {r.statement} {r.label()} :: {r.witness}")
+                emit(f"FAIL {r.statement} {_label(r.params)} :: {r.witness}")
         emit(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed")
     return 0 if ok else 1
 

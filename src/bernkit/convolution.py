@@ -459,12 +459,6 @@ def lemma5_coeffs(k: int, nu: int, n: int) -> tuple[int, int, int]:
     return c1, c2, c_lead
 
 
-class DCoeffTable(namedtuple("DCoeffTable", "n k nu d")):
-    """Coefficients d_j of (1-y)^{nk-nu} * S^{(n)}_{k,nu}(y), j = 0..nk, as
-    the int tuple `d`."""
-    __slots__ = ()
-
-
 def _one_minus_y_powers(top: int) -> list[UniPoly]:
     # [(1-y)^0, ..., (1-y)^top], one multiply per step
     ladder = [UniPoly.constant(1, "y")]
@@ -484,11 +478,12 @@ def _d_row(power: list[UniPoly], nu: int,
     return (poly.integer_coeffs() + (0,) * size)[:size]
 
 
-def d_coeffs(n: int, k: int, nu: int) -> DCoeffTable:
+def d_coeffs(n: int, k: int, nu: int) -> tuple[int, ...]:
+    """Coefficients d_j of (1-y)^{nk-nu} * S^{(n)}_{k,nu}(y), j = 0..nk, as
+    an int tuple."""
     if not 0 <= nu <= n * k:
         raise ValueError("need 0 <= nu <= n*k")
-    return DCoeffTable(n, k, nu, _d_row(multisum_power(k, n), nu,
-                                        _one_minus_y_powers(n * k - nu)))
+    return _d_row(multisum_power(k, n), nu, _one_minus_y_powers(n * k - nu))
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +627,6 @@ def coeff_z_closed(n: int, k: int) -> Fraction:
 # the integer sequences attached to k = 2 and k = 3
 # ---------------------------------------------------------------------------
 
-class SeqTable(namedtuple("SeqTable", "name start values")):
-    """A computed sequence prefix: values[i] (an int or a Fraction) is the
-    term of index start+i."""
-    __slots__ = ()
-
-
 def _a_ratio(n: int) -> tuple[int, int]:
     # a_{n+2} / a_n as (numerator, denominator)
     return 12 * (3 * n + 2) * (3 * n + 4), (n + 2) * (n + 3)
@@ -754,28 +743,17 @@ def c3_recurrence_residual(values: list[Fraction], n: int) -> Fraction:
             - (n + 2) * (n + 3) * c_n)
 
 
-def seq_a(count: int) -> SeqTable:
-    return SeqTable("a", 0, tuple(a_sequence(count)))
-
-
-def seq_c(count: int) -> SeqTable:
-    return SeqTable("c", 0, tuple(c_sequence(count)))
-
-
-def seq_c3(count: int) -> SeqTable:
-    return SeqTable("c3", 1, tuple(c3_sequence(count)))
-
-
-def seq_checks(table: SeqTable) -> dict[str, bool]:
-    """Per-sequence consistency flags, as emitted by the CLI.  A c3 table
-    of fewer than 3 terms holds no triple to check: ValueError."""
-    if table.name == "a":
+def seq_checks(name: str, values: list) -> dict[str, bool]:
+    """Consistency flags, as the CLI prints them, of a prefix `values` of
+    sequence `name` ("a", "c" or "c3").  A c3 prefix of fewer than 3 terms
+    holds no triple to check: ValueError."""
+    if name == "a":
         return {"positive_integers": all(
-            isinstance(v, int) and v > 0 for v in table.values)}
-    if table.name == "c":
+            isinstance(v, int) and v > 0 for v in values)}
+    if name == "c":
         flags = {"unit_fractions": True, "even_denominators": True,
                  "denominator_divisible_by_2(3n+2)": True}
-        for n, v in enumerate(table.values):
+        for n, v in enumerate(values):
             if v.numerator != 1:
                 flags["unit_fractions"] = False
             if v.denominator % 2:
@@ -783,15 +761,14 @@ def seq_checks(table: SeqTable) -> dict[str, bool]:
             if v.denominator % (2 * (3 * n + 2)):
                 flags["denominator_divisible_by_2(3n+2)"] = False
         return flags
-    if table.name == "c3":
-        values = list(table.values)
+    if name == "c3":
         if len(values) < 3:
             raise ValueError("need count >= 3: the c3 recurrence check "
                              "reads triples of terms")
         ok = all(c3_recurrence_residual(values, n) == 0
                  for n in range(1, len(values) - 1))
         return {"recurrence_residual_zero": ok}
-    raise ValueError(f"unknown sequence {table.name!r}")
+    raise ValueError(f"unknown sequence {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -836,9 +813,6 @@ class VerificationReport(namedtuple("VerificationReport",
         if passed == (witness is not None):
             raise ValueError("witness must be present exactly on failure")
         return super().__new__(cls, statement, params, passed, witness)
-
-    def label(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.params)
 
 
 def theorem1_divisor(n: int) -> UniPoly:

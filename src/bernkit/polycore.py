@@ -62,8 +62,9 @@ class UniPoly:
     __slots__ = ("nums", "den", "var", "_coeffs")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = (), var: str = "z"):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
-              for c in coeffs]
+        cs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError("UniPoly coefficients must be int or Fraction")
         den = math.lcm(*[c.denominator for c in cs])
         self._set([c.numerator * (den // c.denominator) for c in cs],
                   den, var)
@@ -289,9 +290,6 @@ class UniPoly:
         den = scale * self.den
         return (UniPoly._build([x * d.den for x in q], den, self.var),
                 UniPoly._build(num[:dd], den, self.var))
-
-    def is_divisible_by(self, d: "UniPoly") -> bool:
-        return not self.div_rem(d)[1]
 
 
 def _mul_add(out: list[int], a: Sequence[int], b: Sequence[int],

@@ -1,8 +1,9 @@
 """Truncated formal power series in x with polynomial coefficients.
 
 The ring is Q[z][[x]] cut at a fixed order N, held as a list of UniPoly
-coefficients (index = power of x).  All arithmetic is exact; operations on
-series of different orders truncate to the smaller order.  Builders for the
+coefficients (index = power of x).  The routes need only exact products and
+powers, so those are the operations a series has; a product of series of
+different orders is truncated to the smaller order.  Builders for the
 generating functions used downstream live here as well: (x/(e^x-1))^r and
 the two constructions of the auxiliary series F_k(x, z).
 """
@@ -48,58 +49,17 @@ class TruncSeries:
             return self.order == other.order and self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
     def __repr__(self) -> str:
         return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
 
-    def _promote(self, other):
-        # series and UniPoly first: a miss on Fraction goes through ABCMeta
-        if isinstance(other, TruncSeries):
-            return other
-        if not isinstance(other, UniPoly):
-            if not isinstance(other, (int, Fraction)):
-                return other
-            other = UniPoly.constant(other, self.var)
-        return TruncSeries(self.order, [other], self.var)
-
-    def __add__(self, other):
-        other = self._promote(other)
+    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return TruncSeries(
-            n, [self.coeffs[m] + other.coeffs[m] for m in range(n + 1)],
-            self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.order, [-c for c in self.coeffs], self.var)
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            if not isinstance(other, (UniPoly, int, Fraction)):
-                return NotImplemented
-            return TruncSeries(
-                self.order, [c * other for c in self.coeffs], self.var)
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         return TruncSeries(
             n, [dot(((a[i], b[m - i], 1) for i in range(m + 1)), self.var)
                 for m in range(n + 1)], self.var)
-
-    __rmul__ = __mul__
 
     def __pow__(self, a: int) -> "TruncSeries":
         """self**a by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
@@ -186,21 +146,6 @@ def build_F_direct(k: int, order: int) -> TruncSeries:
     for m in range(order - k):
         cs.append(bernoulli_poly(m + k + 1)
                   * Fraction(sign, factorial(k) * factorial(m) * (m + k + 1)))
-    return TruncSeries(order, cs)
-
-
-def build_G(k: int, order: int) -> TruncSeries:
-    """G_k(x,z) = ((-1)^k/k!) sum_{j>=1} B_{j+k}(z)/((j-1)!(j+k)) x^j,
-
-    so that 1 + x^k G_k(x,z) = F_k(x,z) through the truncation order.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    sign = (-1) ** k
-    cs = [UniPoly((), "z")]
-    for j in range(1, order + 1):
-        cs.append(bernoulli_poly(j + k)
-                  * Fraction(sign, factorial(k) * factorial(j - 1) * (j + k)))
     return TruncSeries(order, cs)
 
 

@@ -59,7 +59,7 @@ def test_divide_exact():
 
     q, r = (z * z + 1).div_rem(z)
     assert q == z and r == P(1)
-    assert not (z * z + 1).is_divisible_by(z)
+    assert (z * z + 1).div_rem(z)[1]
 
 
 def test_divide_errors():
@@ -73,6 +73,20 @@ def test_variable_mismatch():
         P(1, 2) + P(1, 2, var="y")
     with pytest.raises(ValueError):
         P(1, 2) * P(1, 2, var="y")
+
+
+def test_inexact_coefficients_are_refused():
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        P(0.1)
+    with pytest.raises(TypeError):
+        P(1, 0.5)
+    with pytest.raises(TypeError):
+        UniPoly.constant(0.5)
+    # a string is not parsed either: Fraction("1/3") is the caller's to make
+    with pytest.raises(TypeError):
+        P("1/3")
+    assert P(Fraction(1, 3), 2) == UniPoly([Fraction(1, 3), Fraction(2)])
 
 
 def test_falling_product():

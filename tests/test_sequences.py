@@ -4,8 +4,7 @@ import pytest
 
 from bernkit.convolution import (a_closed_even, a_sequence, a_sequence_cubic,
                                  c3_recurrence_residual, c3_sequence,
-                                 c_sequence, coeff_z_thm8, seq_a, seq_c,
-                                 seq_c3, seq_checks)
+                                 c_sequence, coeff_z_thm8, seq_checks)
 from bernkit.polycore import binomial, factorial
 
 
@@ -135,22 +134,24 @@ def test_c3_matches_both_routes_at_n5():
 
 
 def test_seq_tables_and_checks():
-    t = seq_a(5)
-    assert t.start == 0 and t.values == (1, 3, 16, 105, 768)
-    assert seq_checks(t) == {"positive_integers": True}
+    values = a_sequence(5)
+    assert values == [1, 3, 16, 105, 768]
+    assert seq_checks("a", values) == {"positive_integers": True}
+    assert seq_checks("a", [1, 0]) == {"positive_integers": False}
 
-    t = seq_c(5)
-    assert all(seq_checks(t).values())
+    assert all(seq_checks("c", c_sequence(5)).values())
+    assert not any(seq_checks("c", [Fraction(2, 3)]).values())
 
-    t = seq_c3(6)
-    assert t.start == 1
-    assert seq_checks(t) == {"recurrence_residual_zero": True}
+    assert seq_checks("c3", c3_sequence(6)) == {
+        "recurrence_residual_zero": True}
     for count in (1, 2):  # no triple, so nothing to check
         with pytest.raises(ValueError):
-            seq_checks(seq_c3(count))
+            seq_checks("c3", c3_sequence(count))
 
     with pytest.raises(ValueError):
-        seq_a(0)
+        seq_checks("b", [1])
+    with pytest.raises(ValueError):
+        a_sequence(0)
 
 
 def test_a_closed_even_raises_on_non_integer(monkeypatch):

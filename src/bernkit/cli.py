@@ -39,6 +39,14 @@ def fmt_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def fmt_latex_rational(v) -> str:
+    v = Fraction(v)
+    if v.denominator == 1:
+        return str(v.numerator)
+    sign = "-" if v < 0 else ""
+    return rf"{sign}\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
+
+
 def poly_coeff_strings(p: UniPoly) -> list[str]:
     return [fmt_rational(c) for c in p.coeffs]
 
@@ -81,10 +89,7 @@ def poly_latex(p: UniPoly) -> str:
             continue
         sign = "-" if c < 0 else ("+" if out else "")
         mag = abs(c)
-        if mag.denominator == 1:
-            coeff = str(mag.numerator)
-        else:
-            coeff = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        coeff = fmt_latex_rational(mag)
         if i == 0:
             body = coeff
         else:
@@ -148,10 +153,15 @@ def _print_poly_result(obj, params, p, fmt, routes=None):
         emit(f"agreement: {agree}")
 
 
+def _emit_y_values(obj, params, values):
+    # the JSON document of a coefficient list in y, trailing zeros kept
+    emit_json({"object": obj, "params": params, "variable": "y",
+               "coefficients": [fmt_rational(v) for v in values]})
+
+
 def _print_d_coeffs(obj, params, d, fmt):
     if fmt == "json":
-        emit_json({"object": obj, "params": params, "variable": "y",
-                   "coefficients": [fmt_rational(x) for x in d]})
+        _emit_y_values(obj, params, d)
     else:
         emit(f"{obj} {_label(params.items())}: {list(d)}")
         emit(f"as polynomial: {render_poly(UniPoly(d, 'y'), fmt)}")
@@ -163,8 +173,7 @@ def _print_a_jkn(obj, params, values, fmt, routes=None):
         polys = {name: UniPoly(v, "y") for name, v in routes.items()}
         _print_poly_result(obj, params, UniPoly(values, "y"), fmt, polys)
     elif fmt == "json":
-        emit_json({"object": obj, "params": params, "variable": "y",
-                   "coefficients": [fmt_rational(v) for v in values]})
+        _emit_y_values(obj, params, values)
     else:
         emit(f"{obj} {_label(params.items())}: "
              f"{values[0] if 'j' in params else values}")
@@ -344,14 +353,6 @@ def cmd_seq(args) -> int:
     for key, ok in checks.items():
         emit(f"check {key}: {ok}")
     return 0
-
-
-def fmt_latex_rational(v) -> str:
-    v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    sign = "-" if v < 0 else ""
-    return rf"{sign}\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,13 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from operator import add, mul
 
 from .polycore import (UniPoly, binomial, dot, factorial, falling_product,
-                       interpolate, multinomial)
-from .specialfns import bernoulli_poly, eulerian_poly, higher_bernoulli_poly
+                       interpolate, multinomial, power_rows)
+from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_poly,
+                         higher_bernoulli_poly)
 from .series import build_F_direct
 
 
@@ -41,29 +42,30 @@ def s_direct(n: int, k: int) -> UniPoly:
     Deliberately naive; this is the reference oracle for the other routes.
     Every polynomial is held by its values at z = 0..D+1, D = (k+1)n + k:
     each composition's product has degree exactly D, so D bounds deg S.
-    The factors g_j = B_{k+1+j}(z)/(k+1+j) are evaluated once, as integer
-    numerators over their own denominators; the walk enumerates every weak
-    composition and forms its product point by point, weighted by the
-    multinomial t!/prod j_i! in place of 1/prod j_i!.  One exact
-    interpolation recovers S, and raises ArithmeticError unless the
-    difference of order D+1, at the extra point, vanishes.
+    The factors g_j = B_r(z)/r, r = k+1+j, are evaluated once, as integer
+    numerators over their own denominators, from the Bernoulli number B_r
+    alone: B_r(z+1) - B_r(z) = r z^{r-1}, so at an integer point
+    g_j(z) = B_r/r + sum_{i<z} i^{r-1}, one running sum.  The walk
+    enumerates every weak composition and forms its product point by
+    point, weighted by the multinomial t!/prod j_i! in place of
+    1/prod j_i!.  One exact interpolation recovers S, and raises
+    ArithmeticError unless the difference of order D+1, at the extra
+    point, vanishes.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     degree = (k + 1) * n + k
     top = (k + 1) * (n - 1) + k  # the one part of m = 1
-    powers = [[z ** i for i in range(degree + 1)]
-              for z in range(degree + 2)]
     factors, dens = {}, {}
     # a part of m >= 2 parts is at most top - k - 1; top first, so the
     # Bernoulli cache grows once
     for j in [top, *range(top - k)]:
-        b = bernoulli_poly(k + 1 + j)
-        values = [sum(map(mul, b.nums, pw)) for pw in powers]
-        d = b.den * (k + 1 + j)
-        g = math.gcd(d, *values)
-        factors[j] = [v // g for v in values]
-        dens[j] = d // g
+        r = k + 1 + j
+        b = bernoulli_number(r) / r  # reduced, so the values are too
+        factors[j] = list(accumulate(
+            [b.numerator] + [b.denominator * i ** (r - 1)
+                             for i in range(degree + 1)]))
+        dens[j] = b.denominator
     walk = _PointWalk(factors, dens, degree + 2)
     sums = []
     for m in range(1, n + 1):
@@ -401,29 +403,23 @@ def _multiplicity_vectors(k, n, nu):
 def multisum_power(k: int, n: int) -> list[UniPoly]:
     """[S^{(n)}_{k,0}(y), ..., S^{(n)}_{k,nk}(y)] at once: they are the
     x-coefficients p_t of (sum_{j=0}^{k} a_j x^j)^n, a_j = C(k,j) A_j(y),
-    by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  Since
-    a_0 = A_0 = 1, p_0 = 1 and
+    by J.C.P. Miller's recurrence in the base ring (polycore.power_rows).
+    Since a_0 = A_0 = 1, p_0 = 1 and
 
         t p_t = sum_{i=1}^{min(k,t)} ((n+1) i - t) a_i p_{t-i},
 
-    one sum of products and one exact division by t per row, which is
-    checked: a remainder raises ArithmeticError.  The a_j must lie in Z[y]
-    (ValueError otherwise), so every p_t does as well.  This recurrence is
-    written on Z[y] rows here, apart from TruncSeries.__pow__, so the
-    eulerian and series routes share no code above the base ring."""
+    one sum of products and one division by t per row.  The a_j must lie
+    in Z[y] (ValueError otherwise), so every p_t does as well, and that is
+    checked: a row outside Z[y] raises ArithmeticError."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     base = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
     for a_j in base:
         a_j.integer_coeffs()  # ValueError unless a_j is in Z[y]
-    power = [base[0]]
-    for t in range(1, n * k + 1):
-        acc = dot(((base[i], power[t - i], (n + 1) * i - t)
-                   for i in range(1, min(k, t) + 1)), "y")
-        p_t = acc * Fraction(1, t)
+    power = power_rows(base, n, n * k, "y")
+    for t, p_t in enumerate(power):
         if p_t.den != 1:
             raise ArithmeticError(f"row {t} of the power is not in Z[y]")
-        power.append(p_t)
     return power
 
 

@@ -8,8 +8,11 @@ the arithmetic runs on plain ``int``s with one gcd normalisation when a
 result is built.  ``dot`` forms a whole sum of products that way: every
 product goes into one integer list over one common denominator, so a
 convolution costs one normalisation instead of one per ``*`` and ``+``.
-``interpolate`` builds the same form from a polynomial's integer values at
-0..D+1 over one denominator, and refuses values of degree above D.
+``power_rows`` raises a power series with polynomial coefficients to a
+power by Miller's recurrence, one ``dot`` per row; both fast routes to
+S[n,k] take their powers from it.  ``interpolate`` builds the same form
+from a polynomial's integer values at 0..D+1 over one denominator, and
+refuses values of degree above D.
 ``coeffs`` presents the coefficients as reduced ``fractions.Fraction``s; it
 is built on first use and cached.  Each polynomial carries a symbolic
 variable tag ("z" or "y"); the tag is metadata for display, but mixing tags
@@ -245,12 +248,9 @@ class UniPoly:
         acc: list[int] = []
         d_pow = 1
         for c in reversed(self.nums):
-            nxt = [x * l0 for x in acc] + [0]
-            for j, x in enumerate(acc, 1):
-                nxt[j] += x * l1
-            nxt[0] += c * d_pow
-            acc = nxt
-            d_pow *= d
+            nxt = [c * d_pow] + [0] * len(acc)
+            _mul_add(nxt, acc, (l0, l1), 1)
+            acc, d_pow = nxt, d_pow * d
         return UniPoly._build(acc, self.den * (d_pow // d), self.var)
 
     def div_rem(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
@@ -331,6 +331,47 @@ def dot(terms: Iterable[tuple[UniPoly, UniPoly, int | Fraction]],
     for a, b, s, d in live:
         _mul_add(out, a, b, s * (den // d))
     return UniPoly._build(out, den, var)
+
+
+def power_rows(h: Sequence[UniPoly], a: int, top: int,
+               var: str) -> list[UniPoly]:
+    """G_0..G_top of G = (sum_j h_j x^j)^a for h_0 != 0, by J.C.P. Miller's
+    recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+    G_0 = h_0^a and m h_0 G_m = sum_{j=1}^{m} ((a+1) j - m) h_j G_{m-j}, so
+    each row costs one `dot` over the nonzero h_j; h may be shorter than
+    top + 1.  The division by h_0 is by a scalar when h_0 is a constant and
+    otherwise exact, since G_m is a polynomial; its remainder is checked
+    (ArithmeticError).  A negative a needs a constant h_0: UniPoly.__pow__
+    refuses a negative power of a polynomial.
+    """
+    h0 = h[0]
+    support = [j for j in range(1, min(top, len(h) - 1) + 1) if h[j]]
+    scalar = h0.degree == 0
+    if scalar:
+        # acc / (m h_0) = (acc.nums * d) / (acc.den * m c) for h_0 = c/d,
+        # the sign moved to the numerators so the denominator stays > 0
+        c, d = h0.nums[0], h0.den
+        if c < 0:
+            c, d = -c, -d
+        g = [UniPoly.constant(h0.coefficient(0) ** a, var)]
+    else:
+        g = [h0 ** a]
+    for m in range(1, top + 1):
+        # integer weights: scaling the sum once is cheaper than a Fraction
+        # weight per term
+        acc = dot(((h[j], g[m - j], (a + 1) * j - m)
+                   for j in support if j <= m), var)
+        if scalar:
+            g.append(UniPoly._build([x * d for x in acc.nums],
+                                    acc.den * m * c, var))
+            continue
+        q, r = (acc * Fraction(1, m)).div_rem(h0)
+        if r:
+            raise ArithmeticError(
+                f"inexact division by {h0!r} in coefficient {m}")
+        g.append(q)
+    return g
 
 
 def interpolate(values: Sequence[int], den: int, degree: int) -> UniPoly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .polycore import UniPoly, dot, factorial
+from .polycore import UniPoly, dot, factorial, power_rows
 from .specialfns import bernoulli_poly, eulerian_poly
 
 
@@ -62,15 +62,11 @@ class TruncSeries:
                 for m in range(n + 1)], self.var)
 
     def __pow__(self, a: int) -> "TruncSeries":
-        """self**a by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+        """self**a by J.C.P. Miller's recurrence, polycore.power_rows.
 
-        Write self = x^v H(x) with H_0 != 0.  Then G = H^a has G_0 = H_0^a
-        and m H_0 G_m = sum_{j=1}^{m} ((a+1) j - m) H_j G_{m-j}, so each
-        coefficient costs one pass over the nonzero H_j, and self**a is
-        x^{va} G.  The division by H_0 is by a scalar when H_0 is a constant
-        and otherwise exact, since G_m is a polynomial; its remainder is
-        checked.  A negative a needs v = 0 and a nonzero constant H_0 (a unit
-        of Q[z]); a = -1 is the multiplicative inverse.
+        Write self = x^v H(x) with H_0 != 0; then self**a is x^{va} H^a.  A
+        negative a needs v = 0 and a nonzero constant H_0 (a unit of Q[z]);
+        a = -1 is the multiplicative inverse.
         """
         if a == 0:
             return TruncSeries.one(self.order, self.var)
@@ -84,33 +80,7 @@ class TruncSeries:
                     "constant coefficient is not a unit (degree > 0)")
         if v is None or v * a > self.order:
             return TruncSeries(self.order, (), self.var)
-        h = self.coeffs[v:]
-        h0 = h[0]
-        top = self.order - v * a
-        support = [j for j in range(1, top + 1) if h[j]]
-        scalar = h0.degree == 0
-        if scalar:
-            # acc / (m H_0) = (acc.nums * d) / (acc.den * m c) for H_0 = c/d,
-            # the sign moved to the numerators so the denominator stays > 0
-            c, d = h0.nums[0], h0.den
-            if c < 0:
-                c, d = -c, -d
-        g = [h0 ** a if a > 0 else
-             UniPoly.constant(h0.coefficient(0) ** a, self.var)]
-        for m in range(1, top + 1):
-            # integer weights: scaling the sum once is cheaper than a
-            # Fraction weight per term
-            acc = dot(((h[j], g[m - j], (a + 1) * j - m)
-                       for j in support if j <= m), self.var)
-            if scalar:
-                g.append(UniPoly._build([x * d for x in acc.nums],
-                                        acc.den * m * c, self.var))
-                continue
-            q, r = (acc * Fraction(1, m)).div_rem(h0)
-            if r:
-                raise ArithmeticError(
-                    f"inexact division by {h0!r} in coefficient {m}")
-            g.append(q)
+        g = power_rows(self.coeffs[v:], a, self.order - v * a, self.var)
         return TruncSeries(
             self.order, [UniPoly((), self.var)] * (v * a) + g, self.var)
 

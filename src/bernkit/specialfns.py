@@ -17,14 +17,15 @@ from .polycore import UniPoly, binomial
 class BernoulliCache:
     """Monotone cache of Bernoulli numbers and polynomials.  Entries are
     appended under a lock, so threads that grow it at once cannot append
-    the same entry twice; polys[k] is published after numbers[k].
+    the same entry twice; polys[k] is published after B_k.
 
-    The recurrence runs on integers: _nums[j] / _den is B_j, over the
-    common denominator of every number computed so far, so each new number
-    costs one Fraction and each polynomial one normalisation."""
+    The numbers are stored once, on integers: _nums[j] / _den is B_j, over
+    the common denominator of every number computed so far, so each new
+    number costs one Fraction and each polynomial one normalisation.  The
+    recurrence grows _nums alone, so a fault put into polys does not spread
+    into the entries built after it."""
 
     def __init__(self):
-        self.numbers = [Fraction(1)]
         self.polys = [UniPoly([1], "z")]
         self._nums = [1]
         self._den = 1
@@ -34,10 +35,10 @@ class BernoulliCache:
         if len(self.polys) > k:
             return
         with self._lock:
-            while len(self.numbers) <= k:
+            nums = self._nums
+            while len(nums) <= k:
                 # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
-                m = len(self.numbers)
-                nums = self._nums
+                m = len(nums)
                 acc = sum(binomial(m + 1, j) * nums[j]
                           for j in range(m) if nums[j])
                 b_m = Fraction(-acc, (m + 1) * self._den)
@@ -46,8 +47,6 @@ class BernoulliCache:
                     self._nums = nums = [x * grow for x in nums]
                     self._den *= grow
                 nums.append(b_m.numerator * (self._den // b_m.denominator))
-                self.numbers.append(b_m)
-            nums = self._nums
             while len(self.polys) <= k:
                 m = len(self.polys)
                 self.polys.append(UniPoly._build(
@@ -93,8 +92,10 @@ def bernoulli_number(k: int) -> Fraction:
     """B_k, via the recurrence sum_{j=0}^{m} C(m+1,j) B_j = 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    bernoulli_cache.ensure(k)
-    return bernoulli_cache.numbers[k]
+    cache = bernoulli_cache
+    cache.ensure(k)
+    with cache._lock:  # a growth rescales _nums and _den one after the other
+        return Fraction(cache._nums[k], cache._den)
 
 
 def bernoulli_poly(k: int) -> UniPoly:

@@ -83,6 +83,25 @@ def test_compute_s_k0(capsys):
     assert poly_from_document(doc) == expected
 
 
+def test_compute_s_k0_routes_disagree_on_a_corrupted_bernoulli_poly(capsys):
+    # at k = 0 there is no eulerian route; the direct route reads only the
+    # Bernoulli numbers, so a fault in the cached B_2(z), which the series
+    # route reads, is a disagreement rather than two equal wrong answers
+    from bernkit.specialfns import bernoulli_cache
+    argv = ["compute", "s", "--n", "2", "--k", "0", "--route", "all"]
+    code, out = run(argv, capsys)
+    assert (code, out.splitlines()[-1]) == (0, "agreement: True")
+    original = bernoulli_cache.polys[2]
+    broken = list(original.coeffs)
+    broken[1] += 1
+    bernoulli_cache.polys[2] = UniPoly(broken, "z")
+    try:
+        code, out = run(argv, capsys)
+    finally:
+        bernoulli_cache.polys[2] = original
+    assert (code, out.splitlines()[-1]) == (0, "agreement: False")
+
+
 def test_compute_multisum(capsys):
     code, out = run(
         ["compute", "multisum", "--k", "2", "--nu", "1", "--n", "3"], capsys)

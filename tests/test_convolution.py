@@ -572,7 +572,8 @@ def test_verify_outside_a_run_recomputes(monkeypatch):
 
 def test_s_direct_forms_no_kernel_product(monkeypatch):
     # the direct route multiplies point values, so it shares neither the
-    # convolution loop nor a construction of the series or eulerian route
+    # convolution loop nor a construction of the series or eulerian route;
+    # its factors come from the Bernoulli numbers, not the cached polynomials
     import bernkit.convolution as conv
     import bernkit.polycore as pc
     import bernkit.specialfns as sf
@@ -582,9 +583,11 @@ def test_s_direct_forms_no_kernel_product(monkeypatch):
 
     expected = s_series(4, 3)
     for module, name in [(pc, "_mul_add"), (pc, "dot"), (conv, "dot"),
+                         (pc, "power_rows"), (conv, "power_rows"),
                          (conv, "build_F_direct"), (conv, "multisum_power"),
                          (conv, "_multisum_walk"), (conv, "eulerian_poly"),
-                         (sf, "eulerian_poly")]:
+                         (sf, "eulerian_poly"), (conv, "bernoulli_poly"),
+                         (sf, "bernoulli_poly")]:
         monkeypatch.setattr(module, name, forbidden)
     assert s_direct(4, 3) == expected
 
@@ -598,12 +601,15 @@ def test_s_direct_refuses_a_sum_above_its_degree_bound(monkeypatch):
     # the extra point is a check: a product of degree D + 1 in the sum
     # makes the interpolation raise instead of returning a wrong S
     import bernkit.convolution as conv
-    real = conv.bernoulli_poly
+    real = conv._PointWalk
 
-    def one_degree_up(m):
-        return real(m) * Z if m == 2 else real(m)
+    def one_degree_up(factors, dens, points):
+        # g_0(z) -> z g_0(z): at (n, k) = (2, 1), D = 5, the compositions
+        # (0, 1) and (1, 0) then have products of degree 6
+        factors[0] = [z * v for z, v in enumerate(factors[0])]
+        return real(factors, dens, points)
 
-    monkeypatch.setattr(conv, "bernoulli_poly", one_degree_up)
+    monkeypatch.setattr(conv, "_PointWalk", one_degree_up)
     with pytest.raises(ArithmeticError):
         s_direct(2, 1)
 

@@ -15,8 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import bernkit.polycore as pc  # noqa: E402
 from bernkit.polycore import (NEG_INFINITY, UniPoly, dot,  # noqa: E402
-                              interpolate)
+                              interpolate, power_rows)
 
 
 class RefPoly:
@@ -162,6 +163,56 @@ def test_evaluation_matches_reference(a, t):
     value = UniPoly(a)(t)
     assert type(value) is Fraction
     assert value == RefPoly(a)(t)
+
+
+def ref_series_product(f, g, top):
+    # the x^0..x^top coefficients of (sum f_i x^i)(sum g_j x^j)
+    return [sum((f[i] * g[m - i] for i in range(m + 1)
+                 if i < len(f) and m - i < len(g)), RefPoly([]))
+            for m in range(top + 1)]
+
+
+# h_0 is a constant when its list holds one entry, else a polynomial; the
+# last entry is nonzero, so h_0 != 0
+lowest_terms = st.builds(lambda cs, lead: cs + [lead],
+                         st.lists(scalars, max_size=2), scalars.filter(bool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lowest_terms, st.lists(short_lists, max_size=3), st.integers(-3, 4),
+       st.integers(0, 5))
+def test_power_rows_match_repeated_reference_products(h0, rest, a, top):
+    h = [RefPoly(h0)] + [RefPoly(cs) for cs in rest]
+    polys = [UniPoly(h0, "y")] + [UniPoly(cs, "y") for cs in rest]
+    if a < 0 and len(h[0].cs) > 1:
+        # (h_0 + ...)^a has no polynomial coefficients
+        with pytest.raises(ValueError):
+            power_rows(polys, a, top, "y")
+        return
+    got = power_rows(polys, a, top, "y")
+    assert len(got) == top + 1
+    for g in got:
+        assert_canonical(g)
+        assert g.var == "y"
+    # G = H^a: for a >= 0, G = 1 * H * ... * H; for a < 0, G * H^{-a} = 1
+    lhs = [RefPoly(g.coeffs) for g in got]
+    rhs = [RefPoly([1])] + [RefPoly([])] * top
+    for _ in range(abs(a)):
+        if a > 0:
+            rhs = ref_series_product(rhs, h, top)
+        else:
+            lhs = ref_series_product(lhs, h, top)
+    assert [r.cs for r in lhs] == [r.cs for r in rhs]
+
+
+def test_power_rows_refuses_an_inexact_division(monkeypatch):
+    # a sum of products that h_0 = 1 + y does not divide: the checked
+    # division raises instead of returning a truncated quotient
+    real = pc.dot
+    monkeypatch.setattr(pc, "dot", lambda terms, var: real(terms, var) + 1)
+    h = [UniPoly([1, 1], "y"), UniPoly([2, 0, 3], "y")]
+    with pytest.raises(ArithmeticError):
+        power_rows(h, 3, 2, "y")
 
 
 def values_over_one_denominator(r: RefPoly, points: int):

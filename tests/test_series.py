@@ -200,10 +200,13 @@ def test_reflection_of_F():
 def test_bernoulli_cache_check_grows_its_series_within_a_run(monkeypatch):
     from bernkit.convolution import per_run_memo, verify_bernoulli_cache
     from bernkit.specialfns import bernoulli_cache
-    # start from a short cache so the run's comparison series has to grow
-    for name in ("numbers", "polys"):
+    # start from a short cache so the run's comparison series has to grow;
+    # _nums is the number store the cache grows from, and _den, which a
+    # growth may rescale, is put back with it
+    for name in ("_nums", "polys"):
         monkeypatch.setattr(bernoulli_cache, name,
                             getattr(bernoulli_cache, name)[:9])
+    monkeypatch.setattr(bernoulli_cache, "_den", bernoulli_cache._den)
     orders = _record_comparison_orders(monkeypatch)
     with per_run_memo():
         for m in range(41):

@@ -61,8 +61,9 @@ def test_integer_bernoulli_cache_matches_a_fraction_reference():
     for k in (1, 2, 3, 7, 8, 30, 31, 60):
         by_steps.ensure(k)
     for cache in (at_once, by_steps):
-        assert cache.numbers == numbers
+        # B_m is the constant coefficient of B_m(z)
         assert [list(p.coeffs) for p in cache.polys] == polys
+    assert [bernoulli_number(i) for i in range(61)] == numbers
 
 
 @pytest.mark.parametrize("k", sorted(BERNOULLI_TABLE))
@@ -196,12 +197,18 @@ def test_input_validation():
         polylog_neg_check(0, 5)
 
 
-def test_caches_safe_under_concurrent_growth():
+def test_caches_safe_under_concurrent_growth(monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
+    import bernkit.specialfns as sf
+    # fresh caches, so the threads grow them whatever ran before
+    monkeypatch.setattr(sf, "bernoulli_cache", BernoulliCache())
+    monkeypatch.setattr(sf, "eulerian_cache", sf.EulerianCache())
     with ThreadPoolExecutor(8) as pool:
         bern = list(pool.map(bernoulli_poly, [45] * 16))
+        nums = list(pool.map(bernoulli_number, [60] * 16))
         euler = list(pool.map(eulerian_poly, [25] * 16))
     assert all(p == bern[0] for p in bern)
+    assert all(b == bernoulli_poly(60).coefficient(0) for b in nums)
     assert all(p == euler[0] for p in euler)
     assert bern[0].degree == 45
     assert euler[0](1) == factorial(25)

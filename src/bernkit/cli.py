@@ -192,9 +192,16 @@ def _f_coefficient(route: str, k: int, m: int) -> UniPoly:
     return builder(k, m).coefficient(m)
 
 
-def _a_jkn_row(f, k: int, n: int, j: int | None) -> list[int]:
-    js = [j] if j is not None else range(n * (k - 1) + 1)
-    return [f(k, n, i) for i in js]
+def _a_jkn_row(single, row, k: int, n: int, j: int | None) -> list[int]:
+    # [single(k, n, j)] for one --j; otherwise the row a_0..a_top,
+    # top = n(k-1), built once by row(k, n, top) where a route has one,
+    # else j by j
+    top = n * (k - 1)
+    if j is not None:
+        return [single(k, n, j)]
+    if row is None:
+        return [single(k, n, i) for i in range(top + 1)]
+    return list(row(k, n, top))
 
 
 #: target -> (required parameters, optional parameters, range rule, usage
@@ -234,9 +241,12 @@ TARGETS = {
     "a_jkn": (
         ("k", "n"), ("j",), lambda a: a.k >= 1 and a.n >= 1,
         "need k >= 1 and n >= 1",
-        lambda a: {"poly": partial(_a_jkn_row, conv.a_jkn),
-                   "multinomial": partial(_a_jkn_row, conv.a_jkn_multinomial),
-                   "u": partial(_a_jkn_row, conv.a_jkn_from_u)},
+        lambda a: {"poly": partial(_a_jkn_row, conv.a_jkn,
+                                   lambda k, n, top: conv.a_coeff_list(k, n)),
+                   "multinomial": partial(_a_jkn_row, conv.a_jkn_multinomial,
+                                          None),
+                   "u": partial(_a_jkn_row, conv.a_jkn_from_u,
+                                conv._a_row_from_u)},
         _print_a_jkn),
     "u_nu": (
         ("k", "n", "nu"), (), lambda a: a.k >= 1 and a.n >= 1 and a.nu >= 0,

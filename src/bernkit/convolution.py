@@ -22,13 +22,14 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, product
 from operator import add, mul
 
 from .polycore import (UniPoly, binomial, dot, factorial, falling_product,
                        interpolate, multinomial, power_rows)
-from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_poly,
-                         higher_bernoulli_poly)
+from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
+                         eulerian_poly, higher_bernoulli_poly)
 from .series import build_F_direct
 
 
@@ -66,22 +67,24 @@ def s_direct(n: int, k: int) -> UniPoly:
             [b.numerator] + [b.denominator * i ** (r - 1)
                              for i in range(degree + 1)]))
         dens[j] = b.denominator
-    walk = _PointWalk(factors, dens, degree + 2)
-    sums = []
+    den, sums = _PointWalk(factors, dens, degree + 2)
+    terms = []
     for m in range(1, n + 1):
         t = (k + 1) * (n - m) + k
         weight = binomial(n + 1, m) * factorial(k) ** (n - m) * (-1) ** (k * m)
-        sums.append((weight, factorial(t) * walk.den(t, m), walk.sum(t, m)))
-    den = math.lcm(*[d for _, d, _ in sums])
+        terms.append((weight, factorial(t) * den(t, m), sums(t, m)))
+    common = math.lcm(*[d for _, d, _ in terms])
     total = [0] * (degree + 2)
-    for weight, d, values in sums:
-        scale = weight * (den // d)
+    for weight, d, values in terms:
+        scale = weight * (common // d)
         total = [x + scale * v for x, v in zip(total, values)]
-    return interpolate(total, den, degree)
+    return interpolate(total, common, degree)
 
 
-class _PointWalk:
-    """Sums over weak compositions of products of point-value factors.
+def _PointWalk(factors: dict[int, list[int]], dens: dict[int, int],
+               points: int):
+    """(den, sums) for sums over weak compositions of products of
+    point-value factors.
 
     factors[j] holds the numerators of g_j at the points over dens[j].  The
     compositions of `rest` into `parts` parts are summed over
@@ -98,62 +101,49 @@ class _PointWalk:
     once per (rest, parts, j) and per rest; that is associativity, and the
     walk still forms one product per composition, prefix by pair.
     """
-
-    def __init__(self, factors: dict[int, list[int]], dens: dict[int, int],
-                 points: int):
-        self.factors = factors
-        self.dens = dens
-        self.points = points
-        self._subtree_dens: dict[tuple[int, int], int] = {}
-        self._weighted: dict[tuple[int, int, int], list[int]] = {}
-        self._pairs: dict[int, list[list[int]]] = {}
-
-    def den(self, rest: int, parts: int) -> int:
+    @cache
+    def den(rest, parts):
         if parts == 1:
-            return self.dens[rest]
-        key = (rest, parts)
-        if key not in self._subtree_dens:
-            self._subtree_dens[key] = math.lcm(*[
-                self.dens[j] * self.den(rest - j, parts - 1)
-                for j in range(rest + 1)])
-        return self._subtree_dens[key]
+            return dens[rest]
+        return math.lcm(*[dens[j] * den(rest - j, parts - 1)
+                          for j in range(rest + 1)])
 
-    def weighted(self, rest: int, parts: int, j: int) -> list[int]:
-        key = (rest, parts, j)
-        if key not in self._weighted:
-            c = binomial(rest, j) * (self.den(rest, parts) // (
-                self.dens[j] * self.den(rest - j, parts - 1)))
-            self._weighted[key] = [c * v for v in self.factors[j]]
-        return self._weighted[key]
+    @cache
+    def weighted(rest, parts, j):
+        c = binomial(rest, j) * (den(rest, parts)
+                                 // (dens[j] * den(rest - j, parts - 1)))
+        return [c * v for v in factors[j]]
 
-    def pairs(self, rest: int) -> list[list[int]]:
-        if rest not in self._pairs:
-            self._pairs[rest] = [
-                list(map(mul, self.weighted(rest, 2, j),
-                         self.factors[rest - j]))
+    @cache
+    def pairs(rest):
+        return [list(map(mul, weighted(rest, 2, j), factors[rest - j]))
                 for j in range(rest + 1)]
-        return self._pairs[rest]
 
-    def sum(self, total: int, parts: int) -> list[int]:
-        """The numerators, over den(total, parts), of the sum over weak
-        compositions (j_1..j_parts) of `total` of
-        total!/prod j_i! * prod g_{j_i}, at every point."""
+    def sums(total, parts):
+        # the numerators, over den(total, parts), of the sum over weak
+        # compositions (j_1..j_parts) of total of
+        # total!/prod j_i! * prod g_{j_i}, at every point
         if parts == 1:
-            return self.factors[total]
-        return self._walk(total, parts, [1] * self.points,
-                          [0] * self.points)
+            return factors[total]
+        return _walk(pairs, weighted, total, parts, [1] * points,
+                     [0] * points)
 
-    def _walk(self, rest, parts, prefix, acc):
-        # acc plus prefix times every composition of rest into parts parts
-        if parts == 2:
-            for pair in self.pairs(rest):
-                acc = list(map(add, acc, map(mul, prefix, pair)))
-            return acc
-        for j in range(rest + 1):
-            acc = self._walk(
-                rest - j, parts - 1,
-                list(map(mul, prefix, self.weighted(rest, parts, j))), acc)
+    return den, sums
+
+
+def _walk(pairs, weighted, rest, parts, prefix, acc):
+    # acc plus prefix times every composition of rest into parts parts.  A
+    # module function, not a closure: a closure that calls itself is a
+    # reference cycle, which would keep the caches alive after s_direct
+    # returns, until the cyclic collector runs
+    if parts == 2:
+        for pair in pairs(rest):
+            acc = list(map(add, acc, map(mul, prefix, pair)))
         return acc
+    for j in range(rest + 1):
+        acc = _walk(pairs, weighted, rest - j, parts - 1,
+                    list(map(mul, prefix, weighted(rest, parts, j))), acc)
+    return acc
 
 
 def s_series(n: int, k: int) -> UniPoly:
@@ -262,8 +252,7 @@ def per_run_memo():
     - ("multisum factor", k, t, m): (C(k,t) A_t(y))^m, the factors of
       multisum_poly_multinomial;
     - ("multisum walk", k, n): the enumerated S^{(n)}_{k,nu}(y) of every nu
-      within LEMMA5_ENUMERATION_BUDGET, built by lemma 5 and read by
-      lemma 7 as well;
+      within LEMMA5_ENUMERATION_BUDGET, built and read by lemma 5;
     - "x/(e^x-1)": the series of verify_bernoulli_cache.
 
     `run_suite` opens one per call, so nothing outlives a sweep and a fault
@@ -503,33 +492,19 @@ def a_jkn(k: int, n: int, j: int) -> int:
 
 
 def a_jkn_multinomial(k: int, n: int, j: int) -> int:
-    """Same coefficient by the constrained multinomial sum:
+    """Same coefficient by the multinomial theorem on
+    A_k(y)/y = sum_{t=0}^{k-1} A(k,t+1) y^t:
 
-    sum_{r=0}^{n} C(n,r) sum C(r; j_2..j_k) A(k,2)^{j_2} ... A(k,k)^{j_k},
-    inner sum over j_2+..+j_k = r with j_2 + 2 j_3 + .. + (k-1) j_k = j.
+    sum C(n; m_0..m_{k-1}) A(k,1)^{m_0} ... A(k,k)^{m_{k-1}},
+    over m_0 + .. + m_{k-1} = n with m_1 + 2 m_2 + .. + (k-1) m_{k-1} = j.
     """
-    from .specialfns import eulerian_number
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     if j < 0 or j > n * (k - 1):
         return 0
-
-    def inner(t, slots, weight):
-        # choose j_t for t = 2..k; each contributes weight (t-1) per slot
-        if t > k:
-            return 1 if slots == 0 and weight == 0 else 0
-        acc = 0
-        for m_t in range(min(slots, weight // (t - 1)) + 1):
-            rest = weight - (t - 1) * m_t
-            if rest < 0 or rest > (slots - m_t) * (k - 1):
-                continue
-            sub = inner(t + 1, slots - m_t, rest)
-            if sub:
-                acc += (binomial(slots, m_t)
-                        * eulerian_number(k, t) ** m_t * sub)
-        return acc
-
-    return sum(binomial(n, r) * inner(2, r, j) for r in range(n + 1))
+    return sum(multinomial(counts) * math.prod(
+        eulerian_number(k, t + 1) ** m_t for t, m_t in enumerate(counts))
+        for counts in _multiplicity_vectors(k - 1, n, j))
 
 
 def u_nu(k: int, n: int, nu: int) -> int:
@@ -561,9 +536,15 @@ def a_jkn_from_u(k: int, n: int, j: int) -> int:
     sum_{nu=0}^{j} (-1)^{j-nu} C((k+1)n, j-nu) u_nu."""
     if j < 0 or j > n * (k - 1):
         return 0
+    return _a_row_from_u(k, n, j)[j]
+
+
+def _a_row_from_u(k: int, n: int, top: int) -> list[int]:
+    # a_0..a_top from u_0..u_top, each u value computed once
     e = (k + 1) * n
-    return sum((-1) ** (j - nu) * binomial(e, j - nu) * u_nu(k, n, nu)
-               for nu in range(j + 1))
+    u = [u_nu(k, n, nu) for nu in range(top + 1)]
+    return [sum((-1) ** (j - nu) * binomial(e, j - nu) * u[nu]
+                for nu in range(j + 1)) for j in range(top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -915,8 +896,7 @@ def verify_lemma5(k: int, nu: int, n: int) -> str | None:
     LEMMA5_ENUMERATION_BUDGET compositions (the whole default grid) the
     composition enumeration must equal them too, so three computations are
     compared; above the budget the enumeration is skipped and two are
-    compared.  Inside a sweep the enumeration is one walk per (k, n),
-    shared with lemma 7.
+    compared.  Inside a sweep the enumeration is one walk per (k, n).
     """
     q = multisum_poly_multinomial(k, nu, n)
     if _composition_count(k, nu, n) <= LEMMA5_ENUMERATION_BUDGET:
@@ -941,11 +921,9 @@ def verify_lemma5(k: int, nu: int, n: int) -> str | None:
 def verify_lemma7(k: int, n: int) -> str | None:
     """Top multisum polynomial equals A_k(y)^n and is divisible by y^n.
 
-    The top polynomial is enumerated.  Inside a sweep that has walked
-    (k, n) for lemma 5 it is read as that walk's nu = nk row; otherwise
-    only nu = nk is enumerated."""
-    rows = (_run_memo.get() or {}).get(("multisum walk", k, n))
-    top = multisum_poly(k, n * k, n) if rows is None else rows[n * k]
+    The top polynomial is enumerated at nu = nk alone: its one composition
+    (k, .., k) costs n-1 products."""
+    top = multisum_poly(k, n * k, n)
     power = eulerian_poly(k) ** n
     if top != power:
         return f"difference {top - power!r}"
@@ -1000,10 +978,13 @@ def verify_cor10(n: int) -> str | None:
 
 def verify_polylog(k: int, order: int = 20) -> str | None:
     """Truncated power-sum expansion of A_k(y)/(1-y)^{k+1}."""
-    from .specialfns import polylog_neg_check
-    if polylog_neg_check(k, order):
+    from .specialfns import _polylog_mismatch
+    mismatch = _polylog_mismatch(k, order)
+    if mismatch is None:
         return None
-    return "series expansion disagrees with the power table"
+    m, den, de_m = mismatch
+    return (f"coefficient of y^{m}: d*e_{m} = {de_m} != d*{m}^{k} = "
+            f"{den * m ** k} (d = {den})")
 
 
 def verify_bernoulli_cache(m: int) -> str | None:
@@ -1082,9 +1063,10 @@ SUITE_TABLE = {
                lambda n_max, k_max: product(range(1, k_max + 1),
                                             range(1, n_max + 1))),
     "thm8": ("verify_thm8", ("n", "k"), _n_by_k),
+    # k = 1 at every n, k = 2 at odd n, each only within k_max
     "cor9": ("verify_cor9", ("n", "k"),
-             lambda n_max, k_max: [(n, 1) for n in range(1, n_max + 1)]
-             + [(n, 2) for n in range(1, n_max + 1, 2)]),
+             lambda n_max, k_max: ((n, k) for k in (1, 2)[:k_max]
+                                   for n in range(1, n_max + 1, k))),
     "cor10": ("verify_cor10", ("n",),
               lambda n_max, k_max: ((n,) for n in range(n_max + 1))),
     "eq2.8": ("verify_polylog", ("k", "N"),

@@ -159,6 +159,11 @@ def polylog_neg_check(k: int, order: int) -> bool:
         d e_m = d a_m - sum_{j=1}^{k+1} (-1)^j C(k+1,j) d e_{m-j},
 
     stepped on integers and compared with d m^k."""
+    return _polylog_mismatch(k, order) is None
+
+
+def _polylog_mismatch(k: int, order: int) -> tuple[int, int, int] | None:
+    # (m, d, d e_m) at the first m where d e_m != d m^k, None if there is none
     if k < 1 or order < 1:
         raise ValueError("need k >= 1 and order >= 1")
     a_k = eulerian_poly(k)
@@ -169,6 +174,6 @@ def polylog_neg_check(k: int, order: int) -> bool:
         e_m = nums[m] if m < len(nums) else 0
         e_m -= sum(w * e[m - j] for j, w in enumerate(weights[:m], 1))
         if e_m != m ** k * den:
-            return False
+            return m, den, e_m
         e.append(e_m)
-    return True
+    return None

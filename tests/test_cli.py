@@ -335,6 +335,47 @@ def test_verify_eq28(capsys):
     assert "N=20" in out
 
 
+def test_verify_cor9_respects_k_max(capsys):
+    # k = 2 rows, at odd n, only when k_max >= 2
+    code, out = run(["verify", "cor9", "--k-max", "1"], capsys)
+    assert code == 0
+    assert out.splitlines() == [f"PASS cor9 n={n} k=1" for n in range(1, 5)] + [
+        "4/4 checks passed"]
+    code, out = run(["verify", "all", "--n-max", "2", "--k-max", "1"], capsys)
+    assert code == 0
+    assert [line for line in out.splitlines() if " cor9 " in line] == [
+        "PASS cor9 n=1 k=1", "PASS cor9 n=2 k=1"]
+    code, out = run(["verify", "cor9", "--n-max", "3", "--k-max", "2"], capsys)
+    assert code == 0
+    assert [line.split(" ", 2)[2] for line in out.splitlines()[:-1]] == [
+        "n=1 k=1", "n=2 k=1", "n=3 k=1", "n=1 k=2", "n=3 k=2"]
+
+
+def test_compute_a_jkn_builds_each_route_row_once(capsys, monkeypatch):
+    # a full row is one polynomial power and one u value per nu; one --j
+    # reads u_0..u_j
+    import bernkit.convolution as conv
+    calls = {"a_coeff_list": [], "u_nu": []}
+    for name, calls_of in calls.items():
+        real = getattr(conv, name)
+        monkeypatch.setattr(conv, name, lambda *args, real=real,
+                            calls_of=calls_of: calls_of.append(args)
+                            or real(*args))
+    code, doc = run_json(
+        ["compute", "a_jkn", "--k", "3", "--n", "5", "--route", "all"],
+        capsys)
+    assert code == 0 and doc["agreement"] is True
+    assert len(doc["coefficients"]) == 11
+    assert calls["a_coeff_list"] == [(3, 5)]
+    assert calls["u_nu"] == [(3, 5, nu) for nu in range(11)]
+    for calls_of in calls.values():
+        calls_of.clear()
+    code, out = run(["compute", "a_jkn", "--k", "3", "--n", "5", "--j", "4",
+                     "--route", "u"], capsys)
+    assert code == 0 and out == "a_jkn k=3 n=5 j=4: 1770\n"
+    assert calls["u_nu"] == [(3, 5, nu) for nu in range(5)]
+
+
 def test_verify_thm1_sweep(capsys):
     code, out = run(["verify", "thm1", "--n-max", "4", "--k-max", "2"],
                     capsys)

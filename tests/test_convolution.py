@@ -472,6 +472,16 @@ def test_a_jkn_three_routes_agree():
                 assert full[j] == a_jkn_from_u(k, n, j)
 
 
+def test_a_jkn_multinomial_matches_the_polynomial_power():
+    # k = 1 included: A_1(y)/y = 1, so the only vector is (n,) at j = 0
+    for k in range(1, 7):
+        for n in range(1, 7):
+            full = a_coeff_list(k, n)
+            assert [a_jkn_multinomial(k, n, j)
+                    for j in range(n * (k - 1) + 1)] == list(full), (k, n)
+            assert a_jkn_multinomial(k, n, n * (k - 1) + 1) == 0
+
+
 def test_u_nu_values():
     for k in range(1, 4):
         for n in range(1, 4):
@@ -615,26 +625,21 @@ def test_s_direct_refuses_a_sum_above_its_degree_bound(monkeypatch):
 
 
 def test_run_suite_walks_once_per_k_and_n(monkeypatch):
-    # lemma 5 and lemma 7 read one walk per (k, n); no check enumerates a
-    # multisum polynomial on its own
+    # lemma 5 walks once per (k, n) over the budget; lemma 7 enumerates its
+    # one top row, nu = nk, per point and reads no lemma-5 walk
     import bernkit.convolution as conv
     walks = []
     walk = conv._multisum_walk
     monkeypatch.setattr(conv, "_multisum_walk",
                         lambda k, n, wanted: walks.append((k, n, list(wanted)))
                         or walk(k, n, wanted))
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a check enumerated outside the walk")
-
-    monkeypatch.setattr(conv, "multisum_poly", forbidden)
     reports = conv.run_suite("all", 4, 3)
     assert all(r.passed for r in reports)
-    assert sorted((k, n) for k, n, _ in walks) == [
-        (k, n) for k in range(1, 4) for n in range(1, 5)]
-    # the default grid is within the budget, so each walk covers every nu,
-    # the lemma-7 row nu = nk among them
-    assert all(wanted == list(range(n * k + 1)) for k, n, wanted in walks)
+    points = [(k, n) for k in range(1, 4) for n in range(1, 5)]
+    # the default grid is within the budget, so each lemma-5 walk covers
+    # every nu, in the order the suite table runs lemma 5 then lemma 7
+    assert walks == ([(k, n, list(range(n * k + 1))) for k, n in points]
+                     + [(k, n, [n * k]) for k, n in points])
     assert sum(r.statement == "lemma7" for r in reports) == 12
 
 

@@ -138,9 +138,10 @@ def test_polylog_check():
     assert polylog_neg_check(6, 12)
 
 
-def polylog_check_by_series(k, order):
-    # eq. 2.8 by the truncated series product A_k(y) * ((1-y)^{k+1})^{-1},
-    # the reference for polylog_neg_check's integer recurrence
+def polylog_expansion_by_series(k, order):
+    # e_0..e_order of A_k(y)/(1-y)^{k+1} by the truncated series product
+    # A_k(y) * ((1-y)^{k+1})^{-1}, the reference for polylog_neg_check's
+    # integer recurrence
     a_k = eulerian_poly(k)
     numer = TruncSeries(
         order, [UniPoly.constant(a_k.coefficient(j), "y")
@@ -149,9 +150,14 @@ def polylog_check_by_series(k, order):
         order, [UniPoly.constant(binomial(k + 1, j) * (-1) ** j, "y")
                 for j in range(order + 1)], var="y")
     expansion = numer * denom.inverse()
-    return all(
-        expansion.coefficient(m) == UniPoly.constant(Fraction(m) ** k, "y")
-        for m in range(order + 1))
+    return [expansion.coefficient(m).coefficient(0)
+            for m in range(order + 1)]
+
+
+def polylog_check_by_series(k, order):
+    # eq. 2.8: e_m = m^k through y^order
+    return all(e_m == m ** k
+               for m, e_m in enumerate(polylog_expansion_by_series(k, order)))
 
 
 def test_polylog_check_matches_the_series_expansion():
@@ -173,7 +179,9 @@ def _corrupted_eulerian_polys(k):
 
 
 def test_polylog_check_fails_on_a_corrupted_eulerian_polynomial(monkeypatch):
-    # the recurrence, the series reference and the eq. 2.8 check all fail
+    # the recurrence, the series reference and the eq. 2.8 check all fail,
+    # and the eq. 2.8 witness names the first m where e_m != m^k, with
+    # both values over A_k's denominator d
     for k in range(1, 7):
         for broken in _corrupted_eulerian_polys(k):
             polys = list(eulerian_cache.polys)
@@ -181,7 +189,13 @@ def test_polylog_check_fails_on_a_corrupted_eulerian_polynomial(monkeypatch):
             monkeypatch.setattr(eulerian_cache, "polys", polys)
             assert polylog_neg_check(k, 20) is False, broken
             assert not polylog_check_by_series(k, 20), broken
-            assert verify_polylog(k), broken
+            e = polylog_expansion_by_series(k, 20)
+            m = next(m for m, e_m in enumerate(e) if e_m != m ** k)
+            d = broken.den
+            assert (d * e[m]).denominator == 1
+            assert verify_polylog(k) == (
+                f"coefficient of y^{m}: d*e_{m} = {d * e[m]} != "
+                f"d*{m}^{k} = {d * m ** k} (d = {d})"), broken
             monkeypatch.undo()
     assert verify_polylog(3) is None
 

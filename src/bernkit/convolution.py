@@ -67,7 +67,7 @@ def s_direct(n: int, k: int) -> UniPoly:
             [b.numerator] + [b.denominator * i ** (r - 1)
                              for i in range(degree + 1)]))
         dens[j] = b.denominator
-    den, sums = _PointWalk(factors, dens, degree + 2)
+    den, sums = _point_walk(factors, dens, degree + 2)
     terms = []
     for m in range(1, n + 1):
         t = (k + 1) * (n - m) + k
@@ -78,11 +78,11 @@ def s_direct(n: int, k: int) -> UniPoly:
     for weight, d, values in terms:
         scale = weight * (common // d)
         total = [x + scale * v for x, v in zip(total, values)]
-    return interpolate(total, common, degree)
+    return interpolate(total, common, degree, "z")
 
 
-def _PointWalk(factors: dict[int, list[int]], dens: dict[int, int],
-               points: int):
+def _point_walk(factors: dict[int, list[int]], dens: dict[int, int],
+                points: int):
     """(den, sums) for sums over weak compositions of products of
     point-value factors.
 
@@ -251,8 +251,6 @@ def per_run_memo():
       route at n = n'+1 and by lemma 5's power computation;
     - ("multisum factor", k, t, m): (C(k,t) A_t(y))^m, the factors of
       multisum_poly_multinomial;
-    - ("multisum walk", k, n): the enumerated S^{(n)}_{k,nu}(y) of every nu
-      within LEMMA5_ENUMERATION_BUDGET, built and read by lemma 5;
     - "x/(e^x-1)": the series of verify_bernoulli_cache.
 
     `run_suite` opens one per call, so nothing outlives a sweep and a fault
@@ -278,68 +276,57 @@ def _once_per_run(key, build):
 # ---------------------------------------------------------------------------
 
 def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
-    """S^{(n)}_{k,nu}(y) = sum over weak compositions (j_1..j_n) of nu of
-    prod_i C(k, j_i) A_{j_i}(y), by direct enumeration: _multisum_walk at
-    this one nu."""
+    """S^{(n)}_{k,nu}(y) = sum over weak compositions (j_1..j_n) of nu, each
+    part at most k, of prod_i C(k, j_i) A_{j_i}(y), by direct enumeration.
+
+    Every composition's product has degree exactly nu, so each factor
+    C(k,j) A_j(y) is held by its values at y = 0..nu+1, integer numerators
+    by Horner's rule over one common denominator.  The walk forms each
+    composition's product point by point, the last two parts as one
+    precomputed pair, and one exact interpolation recovers the sum; it
+    raises ArithmeticError unless the difference of order nu+1, at the
+    extra point, vanishes."""
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
     if nu > n * k:
         return UniPoly((), "y")
-    return _multisum_walk(k, n, (nu,))[nu]
+    # every part is at least what the other n-1 parts cannot reach
+    reachable = range(max(0, nu - (n - 1) * k), min(k, nu) + 1)
+    polys = {j: eulerian_poly(j) for j in reachable}
+    common = math.lcm(*[p.den for p in polys.values()])
+    factors = {}
+    for j, p in polys.items():
+        scale = binomial(k, j) * (common // p.den)
+        values = []
+        for y in range(nu + 2):
+            acc = 0
+            for c in reversed(p.nums):
+                acc = acc * y + c
+            values.append(scale * acc)
+        factors[j] = values
+    if n == 1:
+        return interpolate(factors[nu], common, nu, "y")
+    # the totals left for the last two parts
+    pairs = {rest: [list(map(mul, factors[j], factors[rest - j]))
+                    for j in range(max(0, rest - k), min(k, rest) + 1)]
+             for rest in range(max(0, nu - (n - 2) * k), min(2 * k, nu) + 1)}
+    values = _capped_walk(factors, pairs, k, nu, n, [1] * (nu + 2),
+                          [0] * (nu + 2))
+    return interpolate(values, common ** n, nu, "y")
 
 
-#: a total's pending last-level products are summed once this many have
-#: gathered, so one large enumeration holds a bounded number of them
-_WALK_CHUNK = 256
-
-
-def _multisum_walk(k: int, n: int, wanted) -> dict[int, UniPoly]:
-    # {nu: S^{(n)}_{k,nu}(y)} for every nu in `wanted` (each in 0..nk), by
-    # one walk over the tuples (j_1..j_n) in [0,k]^n that forms every
-    # composition's product from the factors C(k,j) A_j(y).  A prefix
-    # product is formed once and shared by every total below it; a prefix
-    # whose partial sum can no longer reach a wanted total is dropped.  The
-    # last part's products (prefix, factor) of each total gather in a list
-    # that one dot sums, so each total is normalised once per _WALK_CHUNK
-    # products.
-    factors = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
-    one = UniPoly.constant(1, "y")
-    # below[t]: how many wanted totals are < t
-    below = [0]
-    for t in range(n * k + 1):
-        below.append(below[-1] + (t in wanted))
-    pending = {nu: [] for nu in wanted}
-    sums = {}
-
-    def fold(nu):
-        terms = pending[nu]
-        if nu in sums:
-            terms.append((sums[nu], one, 1))
-        sums[nu] = dot(terms, "y")
-        pending[nu] = []
-
-    def walk(prefix, total, parts):
-        # prefix: the product of the chosen factors, whose indices sum to
-        # total; parts: how many parts are left to choose
-        if parts == 1:
-            for j, f in enumerate(factors):
-                terms = pending.get(total + j)
-                if terms is not None:
-                    terms.append((prefix, f, 1))
-                    if len(terms) >= _WALK_CHUNK:
-                        fold(total + j)
-            return
-        reach = (parts - 1) * k
-        for j, f in enumerate(factors):
-            s = total + j
-            if below[s + reach + 1] > below[s]:
-                walk(f if prefix is one else prefix * f, s, parts - 1)
-
-    walk(one, 0, n)
-    for nu, terms in pending.items():
-        if terms:
-            fold(nu)
-    return sums
+def _capped_walk(factors, pairs, k, rest, parts, prefix, acc):
+    # acc plus prefix times the product, point by point, of every weak
+    # composition of rest into parts >= 2 parts, each at most k.  A module
+    # function for the reason _walk is one
+    if parts == 2:
+        for pair in pairs[rest]:
+            acc = list(map(add, acc, map(mul, prefix, pair)))
+        return acc
+    for j in range(max(0, rest - (parts - 1) * k), min(k, rest) + 1):
+        acc = _capped_walk(factors, pairs, k, rest - j, parts - 1,
+                           list(map(mul, prefix, factors[j])), acc)
+    return acc
 
 
 def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
@@ -875,17 +862,6 @@ def _composition_count(k: int, nu: int, n: int) -> int:
                for i in range(n + 1) if nu - i * (k + 1) >= 0)
 
 
-def _multisum_enumerated(k: int, nu: int, n: int) -> UniPoly:
-    # multisum_poly(k, nu, n); inside a sweep, a row of one walk per (k, n)
-    # over every nu whose point is within LEMMA5_ENUMERATION_BUDGET, so the
-    # same points are compared at every grid
-    if _run_memo.get() is None:
-        return multisum_poly(k, nu, n)
-    return _once_per_run(("multisum walk", k, n), lambda: _multisum_walk(
-        k, n, [t for t in range(n * k + 1) if _composition_count(k, t, n)
-               <= LEMMA5_ENUMERATION_BUDGET]))[nu]
-
-
 def verify_lemma5(k: int, nu: int, n: int) -> str | None:
     """Closed coefficient values of the multisum polynomial, plus agreement
     of its independent computations.
@@ -896,11 +872,12 @@ def verify_lemma5(k: int, nu: int, n: int) -> str | None:
     LEMMA5_ENUMERATION_BUDGET compositions (the whole default grid) the
     composition enumeration must equal them too, so three computations are
     compared; above the budget the enumeration is skipped and two are
-    compared.  Inside a sweep the enumeration is one walk per (k, n).
+    compared.  The enumeration is one walk at this nu, inside a sweep or
+    out.
     """
     q = multisum_poly_multinomial(k, nu, n)
     if _composition_count(k, nu, n) <= LEMMA5_ENUMERATION_BUDGET:
-        e = _multisum_enumerated(k, nu, n)
+        e = multisum_poly(k, nu, n)
         if e != q:
             return f"enumeration vs multinomial differ: {e - q!r}"
     p = multisum_poly_power(k, nu, n)

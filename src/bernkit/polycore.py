@@ -12,7 +12,8 @@ convolution costs one normalisation instead of one per ``*`` and ``+``.
 power by Miller's recurrence, one ``dot`` per row; both fast routes to
 S[n,k] take their powers from it.  ``interpolate`` builds the same form
 from a polynomial's integer values at 0..D+1 over one denominator, and
-refuses values of degree above D.
+refuses values of degree above D; both composition enumerations, the direct
+route to S[n,k] and the multisum polynomials, recover their sums with it.
 ``coeffs`` presents the coefficients as reduced ``fractions.Fraction``s; it
 is built on first use and cached.  Each polynomial carries a symbolic
 variable tag ("z" or "y"); the tag is metadata for display, but mixing tags
@@ -27,14 +28,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from operator import sub
 
 #: degree of the zero polynomial (a sentinel below every integer, never -1)
 NEG_INFINITY = float("-inf")
 
 
-def factorial(n: int) -> int:
-    return math.factorial(n)
+factorial = math.factorial
 
 
 def binomial(n: int, m: int) -> int:
@@ -374,38 +373,47 @@ def power_rows(h: Sequence[UniPoly], a: int, top: int,
     return g
 
 
-def interpolate(values: Sequence[int], den: int, degree: int) -> UniPoly:
-    """The polynomial p(z) of degree <= `degree` with p(i) = values[i] / den
-    at the integer points i = 0..degree+1, by Newton forward differences.
+def interpolate(values: Sequence[int], den: int, degree: int,
+                var: str) -> UniPoly:
+    """The polynomial p in var of degree <= `degree` with
+    p(i) = values[i] / den at the integer points i = 0..degree+1, by Newton
+    forward differences.
 
     The point degree+1 is the check: its difference of order degree+1 must
     vanish, and ArithmeticError is raised when it does not, so values of a
     polynomial of higher degree are refused instead of being interpolated
     through the first degree+1 points.  With c_i the i-th difference at 0,
-    p(z) = sum_i c_i C(z, i); times degree! that is integer throughout, and
+    p = sum_i c_i C(var, i); times degree! that is integer throughout, and
     the division by den * degree! happens once, in the canonical form.
     """
     if degree < 0 or len(values) != degree + 2:
         raise ValueError(
             f"need degree >= 0 and degree + 2 values, got degree {degree} "
             f"and {len(values)} values")
+    # the differences here and the Newton-basis Horner steps below work in
+    # place: at a sweep's small degrees a new list per step costs more than
+    # the arithmetic
     row = list(values)
     heads = []
-    for _ in range(degree + 1):
+    for m in range(degree + 1, 0, -1):
         heads.append(row[0])
-        row = list(map(sub, row[1:], row[:-1]))
+        for t in range(m):
+            row[t] = row[t + 1] - row[t]
     if row[0]:
         raise ArithmeticError(
             f"the values are not those of a polynomial of degree <= {degree}: "
             f"difference {degree + 1} is {row[0]}/{den}")
-    # Horner's rule in the Newton basis: acc <- acc * (z - i) + c_i degree!/i!
+    # Horner's rule in the Newton basis:
+    # acc <- acc * (var - i) + c_i degree!/i!
     acc = [heads[degree]]
     scale = 1
     for i in range(degree - 1, -1, -1):
         scale *= i + 1
-        acc = list(map(sub, [0] + acc, [i * c for c in acc] + [0]))
+        acc.insert(0, 0)
+        for t in range(len(acc) - 1):
+            acc[t] -= i * acc[t + 1]
         acc[0] += heads[i] * scale
-    return UniPoly._build(acc, den * scale, "z")
+    return UniPoly._build(acc, den * scale, var)
 
 
 def falling_product(a: int, b: int, length: int) -> UniPoly:

@@ -165,32 +165,65 @@ def test_multisum_beyond_top_is_zero():
 
 
 def test_multisum_walk_matches_the_per_nu_recursion():
-    import bernkit.convolution as conv
     for k in range(1, 4):
         for n in range(1, 5):
-            everything = conv._multisum_walk(k, n, range(n * k + 1))
             for nu in range(n * k + 2):
                 expected = multisum_by_recursion(k, nu, n)
                 assert multisum_poly(k, nu, n) == expected, (k, nu, n)
-                if nu <= n * k:
-                    assert everything[nu] == expected, (k, nu, n)
 
 
 def test_multisum_walk_at_the_budget_edge():
     # at k = 5, n = 8 the budget admits only the tails nu <= 4 and nu >= 36
-    # (330 compositions each), so the sweep's walk prunes every prefix
-    # bound for the middle; nu = 5 and 35 (792) lie just outside it.  All
-    # four pass _WALK_CHUNK, so their sums are folded in chunks.
+    # (330 compositions each); nu = 5 and 35 (792) lie just outside it
     import bernkit.convolution as conv
-    with per_run_memo():
-        assert conv._multisum_enumerated(5, 4, 8) == multisum_by_recursion(
-            5, 4, 8)
-        rows = conv._run_memo.get()[("multisum walk", 5, 8)]
-    assert sorted(rows) == [0, 1, 2, 3, 4, 36, 37, 38, 39, 40]
-    for nu, row in rows.items():
-        assert row == multisum_by_recursion(5, nu, 8), nu
-    for nu in (5, 35):
-        assert multisum_poly(5, nu, 8) == multisum_by_recursion(5, nu, 8)
+    budget = conv.LEMMA5_ENUMERATION_BUDGET
+    for nu in [*range(6), *range(35, 41)]:
+        assert (conv._composition_count(5, nu, 8) <= budget) == (
+            nu not in (5, 35)), nu
+        assert multisum_poly(5, nu, 8) == multisum_by_recursion(5, nu, 8), nu
+
+
+def test_multisum_poly_forms_no_kernel_product(monkeypatch):
+    # the enumeration multiplies point values, so it shares neither the
+    # convolution loop nor the power primitive of the other two computations
+    import bernkit.convolution as conv
+    import bernkit.polycore as pc
+    points = [(3, 5, 4), (2, 3, 1), (4, 6, 2), (2, 8, 4), (2, 9, 4),
+              (5, 0, 3)]
+    expected = [multisum_by_recursion(*point) for point in points]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("multisum_poly reached a forbidden kernel")
+
+    for module, name in [(pc, "_mul_add"), (pc, "dot"), (conv, "dot"),
+                         (pc, "power_rows"), (conv, "power_rows"),
+                         (UniPoly, "__mul__"), (UniPoly, "__rmul__")]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert [multisum_poly(*point) for point in points] == expected
+
+
+def test_multisum_poly_is_exact_on_rational_factors():
+    # a corrupted A_2(y) with a non-integer coefficient: the enumeration
+    # still sums the products it is given, over their common denominator
+    third = UniPoly([0, Fraction(1, 3), 1], "y")
+    for nu, n, den in [(2, 1, 3), (4, 2, 9), (5, 3, 3), (6, 3, 27)]:
+        got, multinomial, reference = _with_eulerian_entry(2, third, lambda: (
+            multisum_poly(2, nu, n), multisum_poly_multinomial(2, nu, n),
+            multisum_by_recursion(2, nu, n)))
+        assert got == multinomial == reference, (nu, n)
+        assert got.den == den, (nu, n)
+
+
+def test_multisum_poly_refuses_a_sum_above_its_degree_bound(monkeypatch):
+    # the extra point is a check: with y A_1(y) in place of A_1(y), the
+    # compositions (1, 2) and (2, 1) of nu = 3 have products of degree 4
+    import bernkit.convolution as conv
+    real = conv.eulerian_poly
+    shifted = UniPoly((0,) + real(1).nums, "y")
+    monkeypatch.setattr(conv, "eulerian_poly",
+                        lambda j: shifted if j == 1 else real(j))
+    with pytest.raises(ArithmeticError):
+        multisum_poly(2, 3, 2)
 
 
 def test_multisum_two_computations_agree():
@@ -254,7 +287,7 @@ def test_eulerian_route_reads_no_enumeration_or_bernoulli_data(monkeypatch):
         raise AssertionError("the eulerian route read a forbidden source")
 
     for module, name in [(conv, "multisum_poly"),
-                         (conv, "_PointWalk"),
+                         (conv, "_point_walk"),
                          (conv, "bernoulli_poly"), (conv, "build_F_direct"),
                          (sf, "bernoulli_poly"), (sf, "bernoulli_number"),
                          (sf.BernoulliCache, "ensure")]:
@@ -595,7 +628,8 @@ def test_s_direct_forms_no_kernel_product(monkeypatch):
     for module, name in [(pc, "_mul_add"), (pc, "dot"), (conv, "dot"),
                          (pc, "power_rows"), (conv, "power_rows"),
                          (conv, "build_F_direct"), (conv, "multisum_power"),
-                         (conv, "_multisum_walk"), (conv, "eulerian_poly"),
+                         (conv, "multisum_poly"), (conv, "_capped_walk"),
+                         (conv, "eulerian_poly"),
                          (sf, "eulerian_poly"), (conv, "bernoulli_poly"),
                          (sf, "bernoulli_poly")]:
         monkeypatch.setattr(module, name, forbidden)
@@ -611,7 +645,7 @@ def test_s_direct_refuses_a_sum_above_its_degree_bound(monkeypatch):
     # the extra point is a check: a product of degree D + 1 in the sum
     # makes the interpolation raise instead of returning a wrong S
     import bernkit.convolution as conv
-    real = conv._PointWalk
+    real = conv._point_walk
 
     def one_degree_up(factors, dens, points):
         # g_0(z) -> z g_0(z): at (n, k) = (2, 1), D = 5, the compositions
@@ -619,27 +653,29 @@ def test_s_direct_refuses_a_sum_above_its_degree_bound(monkeypatch):
         factors[0] = [z * v for z, v in enumerate(factors[0])]
         return real(factors, dens, points)
 
-    monkeypatch.setattr(conv, "_PointWalk", one_degree_up)
+    monkeypatch.setattr(conv, "_point_walk", one_degree_up)
     with pytest.raises(ArithmeticError):
         s_direct(2, 1)
 
 
-def test_run_suite_walks_once_per_k_and_n(monkeypatch):
-    # lemma 5 walks once per (k, n) over the budget; lemma 7 enumerates its
-    # one top row, nu = nk, per point and reads no lemma-5 walk
+def test_run_suite_enumerates_each_point_once(monkeypatch):
+    # lemma 5 enumerates each of its points within the budget once, and
+    # lemma 7 its one top row, nu = nk, per point; nothing is shared
     import bernkit.convolution as conv
-    walks = []
-    walk = conv._multisum_walk
-    monkeypatch.setattr(conv, "_multisum_walk",
-                        lambda k, n, wanted: walks.append((k, n, list(wanted)))
-                        or walk(k, n, wanted))
+    calls = []
+    enumerate_ = conv.multisum_poly
+    monkeypatch.setattr(conv, "multisum_poly",
+                        lambda *args: calls.append(args) or enumerate_(*args))
     reports = conv.run_suite("all", 4, 3)
     assert all(r.passed for r in reports)
-    points = [(k, n) for k in range(1, 4) for n in range(1, 5)]
-    # the default grid is within the budget, so each lemma-5 walk covers
-    # every nu, in the order the suite table runs lemma 5 then lemma 7
-    assert walks == ([(k, n, list(range(n * k + 1))) for k, n in points]
-                     + [(k, n, [n * k]) for k, n in points])
+    lemma5 = [(k, nu, n) for k in range(1, 4) for n in range(1, 5)
+              for nu in range(1, n * k + 1)]
+    # the default grid is within the budget, in the order the suite table
+    # runs lemma 5 then lemma 7
+    assert all(conv._composition_count(*point)
+               <= conv.LEMMA5_ENUMERATION_BUDGET for point in lemma5)
+    assert calls == lemma5 + [(k, n * k, n) for k in range(1, 4)
+                              for n in range(1, 5)]
     assert sum(r.statement == "lemma7" for r in reports) == 12
 
 

@@ -228,9 +228,9 @@ def test_interpolation_recovers_the_reference(a, extra):
     r = RefPoly(a)
     degree = max(len(r.cs) - 1, 0) + extra
     nums, den = values_over_one_denominator(r, degree + 2)
-    got = interpolate(nums, den, degree)
+    got = interpolate(nums, den, degree, "y")
     assert_canonical(got)
-    assert got.var == "z"
+    assert got.var == "y"
     assert same(got, r)
 
 
@@ -242,13 +242,13 @@ def test_interpolation_refuses_values_above_the_degree_bound(a, lead):
     degree = len(r.cs) - 2
     nums, den = values_over_one_denominator(r, degree + 2)
     with pytest.raises(ArithmeticError):
-        interpolate(nums, den, degree)
+        interpolate(nums, den, degree, "z")
 
 
 def test_interpolation_needs_degree_plus_two_values():
     for values, degree in (([], -1), ([1], 0), ([1, 2, 3], 0), ([1, 2], 1)):
         with pytest.raises(ValueError):
-            interpolate(values, 1, degree)
+            interpolate(values, 1, degree, "z")
 
 
 @settings(max_examples=100, deadline=None)

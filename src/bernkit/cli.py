@@ -382,8 +382,6 @@ def cmd_verify(args) -> int:
         raise UsageError(f"suite {args.suite!r} has no checks at --n-max "
                          f"{args.n_max} --k-max {args.k_max}; its smallest "
                          f"grid is --n-max {n_min} --k-max {k_min}")
-    if args.sorted:
-        reports = sorted(reports, key=lambda r: (r.statement, r.params))
     ok = all(r.passed for r in reports)
     if args.format == "json":
         emit_json({"object": "verify", "suite": args.suite,
@@ -430,10 +428,9 @@ def _target_options(target):
 
 #: command -> (handler name, help line, positional (name, type, choices),
 #: options(choice)).  options maps each option the chosen positional takes
-#: to (kind, default): kind is int or str for a value, a tuple for one of
-#: its values, or bool for a flag.  The handler is looked up by name when
-#: the command runs, so a wrapper bound to the module attribute (a tracer)
-#: is the one called.
+#: to (kind, default): kind is int or str, or a tuple of the values it may
+#: take.  The handler is looked up by name when the command runs, so a
+#: wrapper bound to the module attribute (a tracer) is the one called.
 COMMANDS = {
     "compute": ("cmd_compute", "compute one object exactly",
                 ("target", str, TARGETS), _target_options),
@@ -444,8 +441,7 @@ COMMANDS = {
             lambda _: {"count": (int, REQUIRED), **FORMAT}),
     "verify": ("cmd_verify", "run a verification sweep",
                ("suite", str, conv.SUITES + ("all",)),
-               lambda _: {"n-max": (int, 4), "k-max": (int, 3),
-                          "sorted": (bool, False), **FORMAT}),
+               lambda _: {"n-max": (int, 4), "k-max": (int, 3), **FORMAT}),
 }
 
 
@@ -454,13 +450,11 @@ def _choices(values) -> str:
 
 
 def _option_usage(option, kind, default) -> str:
-    text = f"--{option}"
-    if kind is not bool:
-        text += " " + (_choices(kind) if isinstance(kind, tuple)
-                       else option.upper().replace("-", "_"))
+    text = f"--{option} " + (_choices(kind) if isinstance(kind, tuple)
+                             else option.upper().replace("-", "_"))
     if default is REQUIRED:
         return text
-    if default is None or kind is bool:
+    if default is None:
         return f"[{text}]"
     return f"[{text} (default {default})]"
 
@@ -538,11 +532,7 @@ def _parse_argv(argv):
         option = name[2:]
         if not name.startswith("--") or option not in known:
             raise UsageError(f"unknown option {name!r} for {command}")
-        if known[option][0] is bool:
-            if eq:
-                raise UsageError(f"{name} takes no value")
-            text = True
-        elif not eq:
+        if not eq:
             text = next(tokens, None)
             if text is None or _is_option(text):
                 raise UsageError(f"{name} needs a value")
@@ -561,8 +551,7 @@ def _parse_argv(argv):
     args = SimpleNamespace(**{dest: choice})
     for option, (kind, default) in options.items():
         if option in given:
-            value = given[option] if kind is bool else \
-                _value(kind, given[option], f"--{option}")
+            value = _value(kind, given[option], f"--{option}")
         elif default is REQUIRED:
             raise UsageError(f"{label} requires --{option}")
         else:

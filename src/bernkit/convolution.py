@@ -954,14 +954,29 @@ def verify_cor10(n: int) -> str | None:
 
 
 def verify_polylog(k: int, order: int = 20) -> str | None:
-    """Truncated power-sum expansion of A_k(y)/(1-y)^{k+1}."""
-    from .specialfns import _polylog_mismatch
-    mismatch = _polylog_mismatch(k, order)
-    if mismatch is None:
-        return None
-    m, den, de_m = mismatch
-    return (f"coefficient of y^{m}: d*e_{m} = {de_m} != d*{m}^{k} = "
-            f"{den * m ** k} (d = {den})")
+    """A_k(y)/(1-y)^{k+1} = sum_m m^k y^m through y^order (eq. 2.8).
+
+    With A_k = sum_m a_m y^m over its common denominator d, the expansion
+    sum_m e_m y^m satisfies (1-y)^{k+1} sum_m e_m y^m = A_k(y), so
+
+        d e_m = d a_m - sum_{j=1}^{k+1} (-1)^j C(k+1,j) d e_{m-j},
+
+    stepped on integers and compared with d m^k; the witness names the
+    first m where they differ."""
+    if k < 1 or order < 1:
+        raise ValueError("need k >= 1 and order >= 1")
+    a_k = eulerian_poly(k)
+    nums, den = a_k.nums, a_k.den
+    weights = [(-1) ** j * binomial(k + 1, j) for j in range(1, k + 2)]
+    e: list[int] = []
+    for m in range(order + 1):
+        e_m = nums[m] if m < len(nums) else 0
+        e_m -= sum(w * e[m - j] for j, w in enumerate(weights[:m], 1))
+        if e_m != m ** k * den:
+            return (f"coefficient of y^{m}: d*e_{m} = {e_m} != "
+                    f"d*{m}^{k} = {den * m ** k} (d = {den})")
+        e.append(e_m)
+    return None
 
 
 def verify_bernoulli_cache(m: int) -> str | None:

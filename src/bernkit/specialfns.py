@@ -1,8 +1,7 @@
 """Named polynomial and number families.
 
 Bernoulli numbers B_k and polynomials B_k(z), the Eulerian number triangle
-A(k, j) and polynomials A_k(y), higher-order Bernoulli polynomials, and the
-rational-function form of the polylogarithm at negative integer order.
+A(k, j) and polynomials A_k(y), and higher-order Bernoulli polynomials.
 """
 
 from __future__ import annotations
@@ -148,32 +147,3 @@ def _exp_zx_read_off(series, m: int) -> UniPoly:
             nums[d] = scale * x.nums[0] * (den // x.den)
         scale *= d
     return UniPoly._build(nums, den, "z")
-
-
-def polylog_neg_check(k: int, order: int) -> bool:
-    """True iff A_k(y)/(1-y)^{k+1} = sum_m m^k y^m through y^order.
-
-    With A_k = sum_m a_m y^m over its common denominator d, the expansion
-    sum_m e_m y^m satisfies (1-y)^{k+1} sum_m e_m y^m = A_k(y), so
-
-        d e_m = d a_m - sum_{j=1}^{k+1} (-1)^j C(k+1,j) d e_{m-j},
-
-    stepped on integers and compared with d m^k."""
-    return _polylog_mismatch(k, order) is None
-
-
-def _polylog_mismatch(k: int, order: int) -> tuple[int, int, int] | None:
-    # (m, d, d e_m) at the first m where d e_m != d m^k, None if there is none
-    if k < 1 or order < 1:
-        raise ValueError("need k >= 1 and order >= 1")
-    a_k = eulerian_poly(k)
-    nums, den = a_k.nums, a_k.den
-    weights = [(-1) ** j * binomial(k + 1, j) for j in range(1, k + 2)]
-    e: list[int] = []
-    for m in range(order + 1):
-        e_m = nums[m] if m < len(nums) else 0
-        e_m -= sum(w * e[m - j] for j, w in enumerate(weights[:m], 1))
-        if e_m != m ** k * den:
-            return m, den, e_m
-        e.append(e_m)
-    return None

@@ -191,11 +191,27 @@ def test_usage_errors(capsys):
         assert "need count >= 3" in captured.err
 
 
+def test_verify_has_no_sorted_option(capsys):
+    # reports come in one order, the suite table's, and no option reorders
+    # them; verify takes no flag, so --sorted is refused like any unknown
+    # option
+    from bernkit.cli import COMMANDS
+    assert main(["verify", "all", "--sorted"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("bernkit: error: unknown option '--sorted' "
+                            "for verify\n")
+    for _, _, (_, _, choices), options_for in COMMANDS.values():
+        for choice in choices:
+            assert all(kind is not bool
+                       for kind, _ in options_for(choice).values())
+
+
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 #: argv -> (exit code, SHA-256 of stdout), or (0, None) for help, whose
-#: stdout is a usage text.  Every row but the help rows, the abbreviation
-#: and the empty thm6 sweep prints what it printed under argparse.
+#: stdout is a usage text.  Every row but the help rows, the abbreviation,
+#: the empty thm6 sweep and --sorted prints what it printed under argparse.
 GRAMMAR = [
     ("compute s --n=2 --k=1", 0,
      "105b60d4796fb7ac928892b39eaf02b938d4bc2cd5f3cefd3d09128f57e4dd7f"),
@@ -220,8 +236,6 @@ GRAMMAR = [
      "88f262347049605f923bc8d8000396be6a800bdd1314a4ddf4be55e8893d9793"),
     ("verify cor10 --n-max 3 --format json", 0,
      "e47fc76ef1ab054cb491b3d7d62c369833d2d42745165bfa17892d0c413bb73d"),
-    ("verify --sorted lemma7 --n-max 2 --k-max 2", 0,
-     "0c342bdbd5c90682ae0eb4832a6ccad00a20da334cc9c3013e77837de4a3b814"),
     ("verify thm1 --k-max 1 --n-max 2 --k-max 2", 0,
      "cb3339c762ae01f091be130567c623e7d9d9c41f441f29f276ad444a137d60be"),
     # usage errors: exit 2 and nothing on stdout
@@ -238,14 +252,15 @@ GRAMMAR = [
     ("seq a --count 2.5", 2, EMPTY),
     ("seq a", 2, EMPTY),
     ("compute s --n 1 --k", 2, EMPTY),
-    ("verify routes --sorted=yes", 2, EMPTY),
-    # changed on purpose: help text, no abbreviations, no empty sweep
+    # changed on purpose: help text, no abbreviations, no empty sweep,
+    # no --sorted (reports come in suite-table order)
     ("-h", 0, None),
     ("--help", 0, None),
     ("verify -h", 0, None),
     ("compute s --help", 0, None),
     ("verify thm1 --n-m 2", 2, EMPTY),
     ("verify thm6 --n-max 1", 2, EMPTY),
+    ("verify --sorted lemma7 --n-max 2 --k-max 2", 2, EMPTY),
 ]
 
 
@@ -391,8 +406,14 @@ def test_verify_all_default_output_is_stable(capsys):
     assert first == second
 
 
+#: SHA-256 of `bernkit verify all` at its defaults: the reports in
+#: suite-table order, the one order there is
+VERIFY_ALL_DIGEST = (
+    "e0b77a0a987aeeef5760704fae6d057e0c4b90011ffad314aa803786255cd1ec")
+
+
 @pytest.mark.parametrize("extra, digest", [
-    ([], "e0b77a0a987aeeef5760704fae6d057e0c4b90011ffad314aa803786255cd1ec"),
+    ([], VERIFY_ALL_DIGEST),
     (["--n-max", "5", "--k-max", "4"],
      "4c7825490976440930583890f7f8d47c345c3f7800877799a106ec60b448824b"),
     (["--n-max", "6", "--k-max", "4"],
@@ -586,15 +607,10 @@ def test_verify_failure_json_carries_witness(capsys):
     assert all(r["witness"] is None for r in passed)
 
 
-def test_verify_sorted_and_json_counts_without_parallel(capsys):
+def test_verify_json_counts_without_parallel(capsys):
     args = ["verify", "lemma5", "--n-max", "2", "--k-max", "2"]
-    code, sequential = run(args, capsys)
-    assert code == 0
-    code, sorted_out = run(args + ["--sorted"], capsys)
-    assert code == 0
-    # canonical order: same lines, forced into sorted order
-    assert sorted(sorted_out.splitlines()) == sorted(sequential.splitlines())
     code, doc = run_json(args, capsys)
+    assert code == 0
     assert doc["passed"] is True
     assert doc["counts"] == {"total": len(doc["reports"]), "failed": 0}
     # there is no --parallel option
@@ -642,15 +658,15 @@ def test_verify_latex(capsys):
 
 
 def test_console_entry_point_subprocess():
-    # the child imports the same bernkit as this process, installed or not
+    # the child imports the same bernkit as this process, installed or not,
+    # and starts with empty caches: it prints the pinned bytes
     src = os.path.dirname(os.path.dirname(bernkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "bernkit.cli", "verify", "cor10",
-         "--n-max", "4"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        [sys.executable, "-m", "bernkit.cli", "verify", "all"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
-    assert "checks passed" in proc.stdout
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_DIGEST
 
 
 def test_json_polynomial_roundtrip_everywhere(capsys):

@@ -9,7 +9,7 @@ from bernkit.series import TruncSeries, x_over_expm1_pow
 from bernkit.specialfns import (BernoulliCache, bernoulli_number,
                                 bernoulli_poly, eulerian_cache,
                                 eulerian_number, eulerian_poly,
-                                higher_bernoulli_poly, polylog_neg_check)
+                                higher_bernoulli_poly)
 
 # golden rows: B_k(z) and A_k(y) for k <= 6, ascending coefficients
 BERNOULLI_TABLE = {
@@ -133,14 +133,14 @@ def test_higher_bernoulli_matches_the_full_series_product():
 
 
 def test_polylog_check():
-    assert polylog_neg_check(2, 6)
-    assert polylog_neg_check(1, 5)
-    assert polylog_neg_check(6, 12)
+    assert verify_polylog(2, 6) is None
+    assert verify_polylog(1, 5) is None
+    assert verify_polylog(6, 12) is None
 
 
 def polylog_expansion_by_series(k, order):
     # e_0..e_order of A_k(y)/(1-y)^{k+1} by the truncated series product
-    # A_k(y) * ((1-y)^{k+1})^{-1}, the reference for polylog_neg_check's
+    # A_k(y) * ((1-y)^{k+1})^{-1}, the reference for verify_polylog's
     # integer recurrence
     a_k = eulerian_poly(k)
     numer = TruncSeries(
@@ -162,13 +162,14 @@ def polylog_check_by_series(k, order):
 
 def test_polylog_check_matches_the_series_expansion():
     for k in range(1, 7):
-        assert polylog_neg_check(k, 20) is polylog_check_by_series(k, 20)
-        assert polylog_neg_check(k, 20), k
+        assert verify_polylog(k, 20) is None, k
+        assert polylog_check_by_series(k, 20), k
 
 
 def _corrupted_eulerian_polys(k):
-    # A_k with one coefficient moved by 1/2, or by 1, and A_k / 2, whose
-    # numerators over its denominator are A_k's own
+    # A_k with one coefficient moved by 1/2, or by 1, A_k / 2, whose
+    # numerators over its denominator are A_k's own, and A_k + y^20, which
+    # differs first at the last order the eq. 2.8 check reads
     a_k = eulerian_poly(k)
     for delta in (Fraction(1, 2), 1):
         for j in range(k + 1):
@@ -176,18 +177,18 @@ def _corrupted_eulerian_polys(k):
             coeffs[j] += delta
             yield UniPoly(coeffs, "y")
     yield a_k * Fraction(1, 2)
+    yield a_k + UniPoly.monomial(1, 20, "y")
 
 
 def test_polylog_check_fails_on_a_corrupted_eulerian_polynomial(monkeypatch):
-    # the recurrence, the series reference and the eq. 2.8 check all fail,
-    # and the eq. 2.8 witness names the first m where e_m != m^k, with
-    # both values over A_k's denominator d
+    # the eq. 2.8 check and the series reference both fail, and the
+    # witness names the first m where e_m != m^k, with both values over
+    # A_k's denominator d
     for k in range(1, 7):
         for broken in _corrupted_eulerian_polys(k):
             polys = list(eulerian_cache.polys)
             polys[k] = broken
             monkeypatch.setattr(eulerian_cache, "polys", polys)
-            assert polylog_neg_check(k, 20) is False, broken
             assert not polylog_check_by_series(k, 20), broken
             e = polylog_expansion_by_series(k, 20)
             m = next(m for m, e_m in enumerate(e) if e_m != m ** k)
@@ -208,7 +209,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         higher_bernoulli_poly(2, 0)
     with pytest.raises(ValueError):
-        polylog_neg_check(0, 5)
+        verify_polylog(0, 5)
 
 
 def test_caches_safe_under_concurrent_growth(monkeypatch):

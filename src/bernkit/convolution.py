@@ -473,6 +473,8 @@ def a_coeff_list(k: int, n: int) -> tuple[int, ...]:
 
 def a_jkn(k: int, n: int, j: int) -> int:
     """[y^j] (A_k(y)/y)^n, by the polynomial power."""
+    if k < 1 or n < 1:
+        raise ValueError("need k >= 1 and n >= 1")
     if j < 0 or j > n * (k - 1):
         return 0
     return a_coeff_list(k, n)[j]
@@ -521,6 +523,8 @@ def u_from_a_series(k: int, n: int, nu: int) -> int:
 def a_jkn_from_u(k: int, n: int, j: int) -> int:
     """a_j as the alternating binomial transform of the u values:
     sum_{nu=0}^{j} (-1)^{j-nu} C((k+1)n, j-nu) u_nu."""
+    if k < 1 or n < 1:
+        raise ValueError("need k >= 1 and n >= 1")
     if j < 0 or j > n * (k - 1):
         return 0
     return _a_row_from_u(k, n, j)[j]

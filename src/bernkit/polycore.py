@@ -7,13 +7,15 @@ polynomial has ``den == 1``), so equality and hashing compare integers, and
 the arithmetic runs on plain ``int``s with one gcd normalisation when a
 result is built.  ``dot`` forms a whole sum of products that way: every
 product goes into one integer list over one common denominator, so a
-convolution costs one normalisation instead of one per ``*`` and ``+``.
-``power_rows`` raises a power series with polynomial coefficients to a
-power by Miller's recurrence, one ``dot`` per row; both fast routes to
-S[n,k] take their powers from it.  ``interpolate`` builds the same form
-from a polynomial's integer values at 0..D+1 over one denominator, and
-refuses values of degree above D; both composition enumerations, the direct
-route to S[n,k] and the multisum polynomials, recover their sums with it.
+convolution costs one normalisation instead of one per ``*`` and ``+``;
+``UniPoly``'s ``+`` and ``-`` are such sums too.  ``power_rows`` raises a
+power series with polynomial coefficients and a nonzero constant lowest
+coefficient to an integer power by Miller's recurrence, one ``dot`` and one
+division by a scalar per row; both fast routes to S[n,k] take their powers
+from it.  ``interpolate`` builds the same form from a polynomial's integer
+values at 0..D+1 over one denominator, and refuses values of degree above D;
+both composition enumerations, the direct route to S[n,k] and the multisum
+polynomials, recover their sums with it.
 ``coeffs`` presents the coefficients as reduced ``fractions.Fraction``s; it
 is built on first use and cached.  Each polynomial carries a symbolic
 variable tag ("z" or "y"); the tag is metadata for display, but mixing tags
@@ -162,25 +164,13 @@ class UniPoly:
                 return NotImplemented
             other = UniPoly.constant(other, self.var)
         self._check_var(other)
-        a, b = self.nums, other.nums
-        da, db = self.den, other.den
-        if da != db:
-            g = math.gcd(da, db)
-            fa, fb = db // g, da // g
-            a = [c * fa for c in a]
-            b = [c * fb for c in b]
-            da *= fa
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly._build(out, da, self.var)
+        one = UniPoly._build([1], 1, self.var)
+        return dot(((self, one, 1), (other, one, 1)), self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly._build([-c for c in self.nums], self.den, self.var)
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
@@ -334,42 +324,33 @@ def dot(terms: Iterable[tuple[UniPoly, UniPoly, int | Fraction]],
 
 def power_rows(h: Sequence[UniPoly], a: int, top: int,
                var: str) -> list[UniPoly]:
-    """G_0..G_top of G = (sum_j h_j x^j)^a for h_0 != 0, by J.C.P. Miller's
-    recurrence (Knuth, TAOCP vol. 2, 4.7).
+    """G_0..G_top of G = (sum_j h_j x^j)^a for a nonzero constant h_0, by
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
 
     G_0 = h_0^a and m h_0 G_m = sum_{j=1}^{m} ((a+1) j - m) h_j G_{m-j}, so
-    each row costs one `dot` over the nonzero h_j; h may be shorter than
-    top + 1.  The division by h_0 is by a scalar when h_0 is a constant and
-    otherwise exact, since G_m is a polynomial; its remainder is checked
-    (ArithmeticError).  A negative a needs a constant h_0: UniPoly.__pow__
-    refuses a negative power of a polynomial.
+    each row costs one `dot` over the nonzero h_j and one division by the
+    scalar m h_0; h may be shorter than top + 1.  Every integer a is
+    allowed: a = 0 gives 1, 0, 0, ... and a = -1 the inverse.  ValueError,
+    before any row is computed, unless h_0 is a nonzero constant.
     """
     h0 = h[0]
+    if h0.degree != 0:
+        raise ValueError(
+            f"the constant term must be a nonzero constant, not {h0!r}")
+    # acc / (m h_0) = (acc.nums * d) / (acc.den * m c) for h_0 = c/d,
+    # the sign moved to the numerators so the denominator stays > 0
+    c, d = h0.nums[0], h0.den
+    if c < 0:
+        c, d = -c, -d
     support = [j for j in range(1, min(top, len(h) - 1) + 1) if h[j]]
-    scalar = h0.degree == 0
-    if scalar:
-        # acc / (m h_0) = (acc.nums * d) / (acc.den * m c) for h_0 = c/d,
-        # the sign moved to the numerators so the denominator stays > 0
-        c, d = h0.nums[0], h0.den
-        if c < 0:
-            c, d = -c, -d
-        g = [UniPoly.constant(h0.coefficient(0) ** a, var)]
-    else:
-        g = [h0 ** a]
+    g = [UniPoly.constant(h0.coefficient(0) ** a, var)]
     for m in range(1, top + 1):
         # integer weights: scaling the sum once is cheaper than a Fraction
         # weight per term
         acc = dot(((h[j], g[m - j], (a + 1) * j - m)
                    for j in support if j <= m), var)
-        if scalar:
-            g.append(UniPoly._build([x * d for x in acc.nums],
-                                    acc.den * m * c, var))
-            continue
-        q, r = (acc * Fraction(1, m)).div_rem(h0)
-        if r:
-            raise ArithmeticError(
-                f"inexact division by {h0!r} in coefficient {m}")
-        g.append(q)
+        g.append(UniPoly._build([x * d for x in acc.nums],
+                                acc.den * m * c, var))
     return g
 
 

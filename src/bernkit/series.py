@@ -3,7 +3,9 @@
 The ring is Q[z][[x]] cut at a fixed order N, held as a list of UniPoly
 coefficients (index = power of x).  The routes need only exact products and
 powers, so those are the operations a series has; a product of series of
-different orders is truncated to the smaller order.  Builders for the
+different orders is truncated to the smaller order.  Every series the
+routes raise to a power has constant term 1, so a power, negative or not,
+needs a nonzero constant term (a unit of Q[z]).  Builders for the
 generating functions used downstream live here as well: (x/(e^x-1))^r and
 the two constructions of the auxiliary series F_k(x, z).
 """
@@ -62,36 +64,12 @@ class TruncSeries:
                 for m in range(n + 1)], self.var)
 
     def __pow__(self, a: int) -> "TruncSeries":
-        """self**a by J.C.P. Miller's recurrence, polycore.power_rows.
-
-        Write self = x^v H(x) with H_0 != 0; then self**a is x^{va} H^a.  A
-        negative a needs v = 0 and a nonzero constant H_0 (a unit of Q[z]);
-        a = -1 is the multiplicative inverse.
-        """
-        if a == 0:
-            return TruncSeries.one(self.order, self.var)
-        v = next((i for i, c in enumerate(self.coeffs) if c), None)
-        if a < 0:
-            if v != 0:
-                raise ValueError(
-                    "series with zero constant term has no inverse")
-            if self.coeffs[0].degree != 0:
-                raise ValueError(
-                    "constant coefficient is not a unit (degree > 0)")
-        if v is None or v * a > self.order:
-            return TruncSeries(self.order, (), self.var)
-        g = power_rows(self.coeffs[v:], a, self.order - v * a, self.var)
+        """self**a for any integer a by J.C.P. Miller's recurrence,
+        polycore.power_rows; the constant coefficient must be a nonzero
+        constant, a unit of Q[z] (ValueError otherwise)."""
         return TruncSeries(
-            self.order, [UniPoly((), self.var)] * (v * a) + g, self.var)
-
-    def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant coefficient must be a unit.
-
-        A unit in the coefficient ring Q[z] is a nonzero constant; a series
-        whose constant coefficient has positive degree (or is zero) has no
-        inverse with polynomial coefficients.
-        """
-        return self ** -1
+            self.order, power_rows(self.coeffs, a, self.order, self.var),
+            self.var)
 
 
 def x_over_expm1_pow(r: int, order: int) -> TruncSeries:

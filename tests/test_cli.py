@@ -398,14 +398,6 @@ def test_verify_thm1_sweep(capsys):
     assert out.count("PASS thm1") == 8
 
 
-def test_verify_all_default_output_is_stable(capsys):
-    code, first = run(["verify", "all"], capsys)
-    assert code == 0
-    code, second = run(["verify", "all"], capsys)
-    assert code == 0
-    assert first == second
-
-
 #: SHA-256 of `bernkit verify all` at its defaults: the reports in
 #: suite-table order, the one order there is
 VERIFY_ALL_DIGEST = (

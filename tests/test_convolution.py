@@ -495,6 +495,15 @@ def test_a_jkn_values():
             assert a_jkn(k, n, -1) == 0
 
 
+@pytest.mark.parametrize("k, n, j", [(0, 3, 1), (-2, 1, 0), (2, -1, 0),
+                                     (1, 0, 0), (3, 0, 2)])
+@pytest.mark.parametrize("compute", [a_jkn, a_jkn_multinomial, a_jkn_from_u])
+def test_a_jkn_refuses_k_or_n_below_one_at_any_j(compute, k, n, j):
+    # the input check comes before the test of j against 0..n(k-1)
+    with pytest.raises(ValueError, match="need k >= 1 and n >= 1"):
+        compute(k, n, j)
+
+
 def test_a_jkn_three_routes_agree():
     for k in range(1, 4):
         for n in range(1, 5):

@@ -8,6 +8,7 @@ bernkit.polycore.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -172,23 +173,12 @@ def ref_series_product(f, g, top):
             for m in range(top + 1)]
 
 
-# h_0 is a constant when its list holds one entry, else a polynomial; the
-# last entry is nonzero, so h_0 != 0
-lowest_terms = st.builds(lambda cs, lead: cs + [lead],
-                         st.lists(scalars, max_size=2), scalars.filter(bool))
-
-
 @settings(max_examples=100, deadline=None)
-@given(lowest_terms, st.lists(short_lists, max_size=3), st.integers(-3, 4),
-       st.integers(0, 5))
+@given(scalars.filter(bool), st.lists(short_lists, max_size=3),
+       st.integers(-3, 4), st.integers(0, 5))
 def test_power_rows_match_repeated_reference_products(h0, rest, a, top):
-    h = [RefPoly(h0)] + [RefPoly(cs) for cs in rest]
-    polys = [UniPoly(h0, "y")] + [UniPoly(cs, "y") for cs in rest]
-    if a < 0 and len(h[0].cs) > 1:
-        # (h_0 + ...)^a has no polynomial coefficients
-        with pytest.raises(ValueError):
-            power_rows(polys, a, top, "y")
-        return
+    h = [RefPoly([h0])] + [RefPoly(cs) for cs in rest]
+    polys = [UniPoly([h0], "y")] + [UniPoly(cs, "y") for cs in rest]
     got = power_rows(polys, a, top, "y")
     assert len(got) == top + 1
     for g in got:
@@ -205,14 +195,20 @@ def test_power_rows_match_repeated_reference_products(h0, rest, a, top):
     assert [r.cs for r in lhs] == [r.cs for r in rhs]
 
 
-def test_power_rows_refuses_an_inexact_division(monkeypatch):
-    # a sum of products that h_0 = 1 + y does not divide: the checked
-    # division raises instead of returning a truncated quotient
-    real = pc.dot
-    monkeypatch.setattr(pc, "dot", lambda terms, var: real(terms, var) + 1)
-    h = [UniPoly([1, 1], "y"), UniPoly([2, 0, 3], "y")]
-    with pytest.raises(ArithmeticError):
-        power_rows(h, 3, 2, "y")
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.just([]), st.builds(lambda cs, lead: cs + [lead],
+                                        st.lists(scalars, min_size=1,
+                                                 max_size=2),
+                                        scalars.filter(bool))),
+       st.lists(short_lists, max_size=3), st.integers(-3, 4),
+       st.integers(0, 5))
+def test_power_rows_refuses_an_h0_that_is_not_a_nonzero_constant(
+        h0, rest, a, top):
+    # a zero or non-constant h_0 is refused before any row is computed
+    polys = [UniPoly(h0, "y")] + [UniPoly(cs, "y") for cs in rest]
+    with mock.patch.object(pc, "dot", side_effect=AssertionError("a row")):
+        with pytest.raises(ValueError):
+            power_rows(polys, a, top, "y")
 
 
 def values_over_one_denominator(r: RefPoly, points: int):

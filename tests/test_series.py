@@ -44,41 +44,58 @@ def test_pow_zero_is_identity():
 def test_pow_matches_repeated_mul():
     rng = random.Random(3)
     for _ in range(10):
-        a = const_series([Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                          for _ in range(7)], 6)
+        h0 = Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]),
+                      rng.randint(1, 4))
+        rest = [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                for _ in range(6)]
+        a = const_series([h0] + rest, 6)
         acc = TruncSeries.one(6)
         for n in range(5):
             assert a ** n == acc
             acc = acc * a
 
 
-def test_pow_matches_repeated_mul_by_valuation():
+def test_pow_with_polynomial_coefficients_matches_repeated_mul():
     z = UniPoly.variable("z")
-    zero = UniPoly((), "z")
+    # unit H_0, and coefficients of positive degree
+    values = [1, z, 3 * z - 2, 0, z * z]
+    for order in (0, 3, 7):
+        a = TruncSeries(order, [c if isinstance(c, UniPoly)
+                                else UniPoly.constant(c) for c in values])
+        acc = TruncSeries.one(order)
+        for n in range(7):
+            assert a ** n == acc, (order, n)
+            acc = acc * a
+
+
+@pytest.mark.parametrize("a", [-2, 0, 1, 3])
+def test_pow_refuses_a_constant_term_that_is_not_a_unit(a):
+    # a power needs a nonzero constant H_0, whatever the exponent: a zero
+    # constant term (positive valuation, or the zero series) and a
+    # polynomial H_0 are refused
+    z = UniPoly.variable("z")
     cases = [
-        [1, z, 3 * z - 2, 0, z * z],                     # unit H_0
         [0, 2, z, Fraction(1, 3), 0, z - 1],             # valuation 1
         [0, 0, Fraction(-1, 2), z, 0, 1],                # valuation 2
         [],                                              # zero series
-        [0, 0, 0, 0, 0, z],                              # v*a > order
         [1 + z, z, 0, 2 - z, z * z],                     # H_0 = 1 + z
-        [0, 3 * z * z - 1, 1, z, 0, 5],                  # H_0 = 3z^2 - 1
+        [3 * z * z - 1, 1, z, 0, 5],                     # H_0 = 3z^2 - 1
     ]
     for values in cases:
         for order in (0, 3, 7):
-            a = TruncSeries(order, [c if isinstance(c, UniPoly)
-                                    else UniPoly.constant(c) for c in values])
-            acc = TruncSeries.one(order)
-            for n in range(7):
-                assert a ** n == acc, (values, order, n)
-                acc = acc * a
-    assert TruncSeries(4, [zero, zero, z]) ** 3 == TruncSeries(4, ())
+            bad = TruncSeries(order, [c if isinstance(c, UniPoly)
+                                      else UniPoly.constant(c)
+                                      for c in values])
+            with pytest.raises(ValueError):
+                bad ** a
+    with pytest.raises(ValueError):
+        ONE_MINUS_EXP_X ** a
 
 
 def test_negative_pow_is_power_of_inverse():
     a = TruncSeries(8, [UniPoly.constant(Fraction(-2, 3)), UniPoly([1, 2]),
                         UniPoly.constant(0), UniPoly([0, 0, 1])])
-    inv = a.inverse()
+    inv = a ** -1
     assert a * inv == TruncSeries.one(8)
     acc = TruncSeries.one(8)
     for n in range(5):
@@ -95,7 +112,7 @@ def test_pow_with_negative_constant_term():
     # numerators, and every coefficient keeps a positive denominator
     order = 9
     a = TruncSeries(order, [UniPoly.constant(-2), UniPoly.constant(1)])
-    inv = a.inverse()
+    inv = a ** -1
     # 1/(x - 2) = -sum_m x^m / 2^{m+1}
     assert inv == const_series(
         [Fraction(-1, 2 ** (m + 1)) for m in range(order + 1)], order)
@@ -133,14 +150,14 @@ def test_inverse_roundtrip_and_bernoulli_numbers():
     # A * A^{-1} == 1
     expm1_over_x = const_series(
         [Fraction(1, factorial(m + 1)) for m in range(11)], 10)
-    assert expm1_over_x * expm1_over_x.inverse() == TruncSeries.one(10)
+    assert expm1_over_x * expm1_over_x ** -1 == TruncSeries.one(10)
 
 
 def test_inverse_requires_unit():
     with pytest.raises(ValueError):
-        ONE_MINUS_EXP_X.inverse()
+        ONE_MINUS_EXP_X ** -1
     with pytest.raises(ValueError):
-        TruncSeries(3, [UniPoly([0, 1], "z")]).inverse()
+        TruncSeries(3, [UniPoly([0, 1], "z")]) ** -1
 
 
 def test_bernoulli_generating_function():

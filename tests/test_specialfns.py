@@ -149,7 +149,7 @@ def polylog_expansion_by_series(k, order):
     denom = TruncSeries(
         order, [UniPoly.constant(binomial(k + 1, j) * (-1) ** j, "y")
                 for j in range(order + 1)], var="y")
-    expansion = numer * denom.inverse()
+    expansion = numer * denom ** -1
     return [expansion.coefficient(m).coefficient(0)
             for m in range(order + 1)]
 

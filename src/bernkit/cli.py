@@ -56,47 +56,34 @@ def poly_from_document(doc: dict) -> UniPoly:
                    doc["variable"])
 
 
-def poly_plain(p: UniPoly) -> str:
-    if not p:
-        return "0"
-    parts = []
+def _terms(p: UniPoly):
+    # (negative, |c|, power) for each nonzero coefficient c, highest power
+    # first: the one term walk of both renderers
     for i in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[i]
-        if not c:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            var = p.var if i == 1 else f"{p.var}^{i}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+        if c:
+            yield c < 0, abs(c), i
+
+
+def poly_plain(p: UniPoly) -> str:
+    text = ""
+    for negative, mag, i in _terms(p):
+        var = p.var if i == 1 else f"{p.var}^{i}"
+        body = str(mag) if i == 0 else var if mag == 1 else f"{mag}*{var}"
+        # the first term carries only a minus sign, with no space
+        text += ((" - " if text else "-") if negative
+                 else " + " if text else "") + body
+    return text or "0"
 
 
 def poly_latex(p: UniPoly) -> str:
-    if not p:
-        return "0"
     out = ""
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
-        if not c:
-            continue
-        sign = "-" if c < 0 else ("+" if out else "")
-        mag = abs(c)
+    for negative, mag, i in _terms(p):
+        var = p.var if i == 1 else f"{p.var}^{{{i}}}"
         coeff = fmt_latex_rational(mag)
-        if i == 0:
-            body = coeff
-        else:
-            var = p.var if i == 1 else f"{p.var}^{{{i}}}"
-            body = var if mag == 1 else coeff + var
-        out += sign + body
-    return out
+        body = coeff if i == 0 else var if mag == 1 else coeff + var
+        out += ("-" if negative else "+" if out else "") + body
+    return out or "0"
 
 
 def render_poly(p: UniPoly, fmt: str) -> str:

@@ -26,11 +26,13 @@ from functools import cache
 from itertools import accumulate, product
 from operator import add, mul
 
+from . import specialfns
 from .polycore import (UniPoly, binomial, dot, factorial, falling_product,
                        interpolate, multinomial, power_rows)
 from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
-                         eulerian_poly, higher_bernoulli_poly)
-from .series import build_F_direct
+                         eulerian_poly)
+from .series import (_exp_zx_read_off, build_F_direct, build_F_eulerian,
+                     higher_bernoulli_poly, x_over_expm1_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +80,7 @@ def s_direct(n: int, k: int) -> UniPoly:
     for weight, d, values in terms:
         scale = weight * (common // d)
         total = [x + scale * v for x, v in zip(total, values)]
-    return interpolate(total, common, degree, "z")
+    return interpolate(total, common, "z")
 
 
 def _point_walk(factors: dict[int, list[int]], dens: dict[int, int],
@@ -125,24 +127,32 @@ def _point_walk(factors: dict[int, list[int]], dens: dict[int, int],
         # total!/prod j_i! * prod g_{j_i}, at every point
         if parts == 1:
             return factors[total]
-        return _walk(pairs, weighted, total, parts, [1] * points,
+        # a cap of total leaves every part free
+        return _walk(pairs, weighted, total, total, parts, [1] * points,
                      [0] * points)
 
     return den, sums
 
 
-def _walk(pairs, weighted, rest, parts, prefix, acc):
-    # acc plus prefix times every composition of rest into parts parts.  A
-    # module function, not a closure: a closure that calls itself is a
-    # reference cycle, which would keep the caches alive after s_direct
-    # returns, until the cyclic collector runs
+def _walk(pairs, factor, cap, rest, parts, prefix, acc):
+    """acc plus prefix times the product, point by point, of every weak
+    composition of rest into parts >= 2 parts, each at most cap: the one
+    composition walk of s_direct and multisum_poly.
+
+    A part j at a level of `parts` parts contributes factor(rest, parts, j)
+    and ranges over max(0, rest - (parts-1) cap)..min(cap, rest), so the
+    parts after it can still reach rest - j; pairs(rest) lists the
+    point-value products of the last two parts.  A module function, not a
+    closure: a closure that calls itself is a reference cycle, which would
+    keep s_direct's caches alive after it returns, until the cyclic
+    collector runs."""
     if parts == 2:
         for pair in pairs(rest):
             acc = list(map(add, acc, map(mul, prefix, pair)))
         return acc
-    for j in range(rest + 1):
-        acc = _walk(pairs, weighted, rest - j, parts - 1,
-                    list(map(mul, prefix, weighted(rest, parts, j))), acc)
+    for j in range(max(0, rest - (parts - 1) * cap), min(cap, rest) + 1):
+        acc = _walk(pairs, factor, cap, rest - j, parts - 1,
+                    list(map(mul, prefix, factor(rest, parts, j))), acc)
     return acc
 
 
@@ -281,11 +291,11 @@ def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
 
     Every composition's product has degree exactly nu, so each factor
     C(k,j) A_j(y) is held by its values at y = 0..nu+1, integer numerators
-    by Horner's rule over one common denominator.  The walk forms each
-    composition's product point by point, the last two parts as one
-    precomputed pair, and one exact interpolation recovers the sum; it
-    raises ArithmeticError unless the difference of order nu+1, at the
-    extra point, vanishes."""
+    by Horner's rule over one common denominator.  s_direct's walk, _walk
+    with a cap of k, forms each composition's product point by point, the
+    last two parts as one precomputed pair, and one exact interpolation
+    recovers the sum; it raises ArithmeticError unless the difference of
+    order nu+1, at the extra point, vanishes."""
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
     if nu > n * k:
@@ -305,28 +315,14 @@ def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
             values.append(scale * acc)
         factors[j] = values
     if n == 1:
-        return interpolate(factors[nu], common, nu, "y")
+        return interpolate(factors[nu], common, "y")
     # the totals left for the last two parts
     pairs = {rest: [list(map(mul, factors[j], factors[rest - j]))
                     for j in range(max(0, rest - k), min(k, rest) + 1)]
              for rest in range(max(0, nu - (n - 2) * k), min(2 * k, nu) + 1)}
-    values = _capped_walk(factors, pairs, k, nu, n, [1] * (nu + 2),
-                          [0] * (nu + 2))
-    return interpolate(values, common ** n, nu, "y")
-
-
-def _capped_walk(factors, pairs, k, rest, parts, prefix, acc):
-    # acc plus prefix times the product, point by point, of every weak
-    # composition of rest into parts >= 2 parts, each at most k.  A module
-    # function for the reason _walk is one
-    if parts == 2:
-        for pair in pairs[rest]:
-            acc = list(map(add, acc, map(mul, prefix, pair)))
-        return acc
-    for j in range(max(0, rest - (parts - 1) * k), min(k, rest) + 1):
-        acc = _capped_walk(factors, pairs, k, rest - j, parts - 1,
-                           list(map(mul, prefix, factors[j])), acc)
-    return acc
+    values = _walk(pairs.__getitem__, lambda rest, parts, j: factors[j], k,
+                   nu, n, [1] * (nu + 2), [0] * (nu + 2))
+    return interpolate(values, common ** n, "y")
 
 
 def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
@@ -392,7 +388,7 @@ def multisum_power(k: int, n: int) -> list[UniPoly]:
     base = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
     for a_j in base:
         a_j.integer_coeffs()  # ValueError unless a_j is in Z[y]
-    power = power_rows(base, n, n * k, "y")
+    power = power_rows(base, n, n * k)
     for t, p_t in enumerate(power):
         if p_t.den != 1:
             raise ArithmeticError(f"row {t} of the power is not in Z[y]")
@@ -842,7 +838,6 @@ def verify_routes(n: int, k: int) -> str | None:
 
 def verify_lemma4(k: int, order: int) -> str | None:
     """The Eulerian construction of F_k equals the direct one."""
-    from .series import build_F_eulerian
     direct = build_F_direct(k, order)
     eulerian = build_F_eulerian(k, order)
     for m in range(order + 1):
@@ -989,12 +984,11 @@ def verify_bernoulli_cache(m: int) -> str | None:
     The cache is built by the number recurrence, the comparison value by
     series inversion that never reads the cache, so a corrupted cache entry
     cannot hide.  B_m(z) is read off the series's first m+1 coefficients
-    (specialfns._exp_zx_read_off), with no e^{zx} series formed.  Inside a
+    (series._exp_zx_read_off), with no e^{zx} series formed.  Inside a
     sweep one x/(e^x-1) serves every m: it is built to the larger of m and
     the top published cache entry, and rebuilt only for an m beyond that.
+    The cache is read off the specialfns module when the check runs.
     """
-    from .series import x_over_expm1_pow
-    from .specialfns import _exp_zx_read_off, bernoulli_cache
     cached = bernoulli_poly(m)
     memo = _run_memo.get()
     if memo is None:
@@ -1003,7 +997,7 @@ def verify_bernoulli_cache(m: int) -> str | None:
         inverse = memo.get("x/(e^x-1)")
         if inverse is None or inverse.order < m:
             inverse = memo["x/(e^x-1)"] = x_over_expm1_pow(
-                1, max(m, len(bernoulli_cache.polys) - 1))
+                1, max(m, len(specialfns.bernoulli_cache.polys) - 1))
     independent = _exp_zx_read_off(inverse, m)
     if cached != independent:
         return f"cached {cached!r} != series value {independent!r}"
@@ -1110,8 +1104,8 @@ def run_suite(suite: str, n_max: int, k_max: int) -> list[VerificationReport]:
             reports += [_run_check(statement, tuple(zip(names, values)))
                         for values in grid(n_max, k_max)]
         if suite == "all":
-            from .specialfns import bernoulli_cache
-            above = [_run_check("bernoulli-cache", (("m", m),)) for m in range(
-                _bernoulli_top(k_max) + 1, len(bernoulli_cache.polys))]
+            published = len(specialfns.bernoulli_cache.polys)
+            above = [_run_check("bernoulli-cache", (("m", m),))
+                     for m in range(_bernoulli_top(k_max) + 1, published)]
             reports += [r for r in above if not r.passed]
     return reports

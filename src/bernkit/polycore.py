@@ -11,11 +11,13 @@ convolution costs one normalisation instead of one per ``*`` and ``+``;
 ``UniPoly``'s ``+`` and ``-`` are such sums too.  ``power_rows`` raises a
 power series with polynomial coefficients and a nonzero constant lowest
 coefficient to an integer power by Miller's recurrence, one ``dot`` and one
-division by a scalar per row; both fast routes to S[n,k] take their powers
-from it.  ``interpolate`` builds the same form from a polynomial's integer
-values at 0..D+1 over one denominator, and refuses values of degree above D;
-both composition enumerations, the direct route to S[n,k] and the multisum
-polynomials, recover their sums with it.
+division by a scalar per row, in the variable of that coefficient; both
+fast routes to S[n,k] take their powers from it.  ``interpolate`` builds the
+same form from a polynomial's D+2 integer values at 0..D+1 over one
+denominator, D read from their number, and refuses values of degree above
+D; both composition enumerations, the direct route to S[n,k] and the
+multisum polynomials, recover their sums with it.  Coefficients, points and
+scalars are ``int`` or ``Fraction``; a float raises TypeError.
 ``coeffs`` presents the coefficients as reduced ``fractions.Fraction``s; it
 is built on first use and cached.  Each polynomial carries a symbolic
 variable tag ("z" or "y"); the tag is metadata for display, but mixing tags
@@ -67,8 +69,7 @@ class UniPoly:
 
     def __init__(self, coeffs: Iterable[int | Fraction] = (), var: str = "z"):
         cs = list(coeffs)
-        if not all(isinstance(c, (int, Fraction)) for c in cs):
-            raise TypeError("UniPoly coefficients must be int or Fraction")
+        _check_rational(*cs)
         den = math.lcm(*[c.denominator for c in cs])
         self._set([c.numerator * (den // c.denominator) for c in cs],
                   den, var)
@@ -216,6 +217,7 @@ class UniPoly:
 
     def __call__(self, at: int | Fraction) -> Fraction:
         """Evaluate by Horner's rule, homogenised so the loop runs on ints."""
+        _check_rational(at)
         if not self.nums:
             return Fraction(0)
         p, q = at.numerator, at.denominator
@@ -228,6 +230,7 @@ class UniPoly:
     def compose_affine(self, a: int | Fraction,
                        b: int | Fraction) -> "UniPoly":
         """Return p(a*var + b) with coefficients expanded exactly."""
+        _check_rational(a, b)
         if not self.nums:
             return self
         # a*var + b = (l0 + l1*var) / d with integers l0, l1, d
@@ -281,6 +284,12 @@ class UniPoly:
                 UniPoly._build(num[:dd], den, self.var))
 
 
+def _check_rational(*values) -> None:
+    # a float would be rounded already; the ring is exact
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise TypeError("UniPoly arithmetic takes int or Fraction values")
+
+
 def _mul_add(out: list[int], a: Sequence[int], b: Sequence[int],
              scale: int) -> None:
     # out[i + j] += scale * a[i] * b[j]: the one convolution loop of the
@@ -322,10 +331,10 @@ def dot(terms: Iterable[tuple[UniPoly, UniPoly, int | Fraction]],
     return UniPoly._build(out, den, var)
 
 
-def power_rows(h: Sequence[UniPoly], a: int, top: int,
-               var: str) -> list[UniPoly]:
+def power_rows(h: Sequence[UniPoly], a: int, top: int) -> list[UniPoly]:
     """G_0..G_top of G = (sum_j h_j x^j)^a for a nonzero constant h_0, by
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), in h_0's
+    variable.
 
     G_0 = h_0^a and m h_0 G_m = sum_{j=1}^{m} ((a+1) j - m) h_j G_{m-j}, so
     each row costs one `dot` over the nonzero h_j and one division by the
@@ -334,6 +343,7 @@ def power_rows(h: Sequence[UniPoly], a: int, top: int,
     before any row is computed, unless h_0 is a nonzero constant.
     """
     h0 = h[0]
+    var = h0.var
     if h0.degree != 0:
         raise ValueError(
             f"the constant term must be a nonzero constant, not {h0!r}")
@@ -354,23 +364,22 @@ def power_rows(h: Sequence[UniPoly], a: int, top: int,
     return g
 
 
-def interpolate(values: Sequence[int], den: int, degree: int,
-                var: str) -> UniPoly:
-    """The polynomial p in var of degree <= `degree` with
-    p(i) = values[i] / den at the integer points i = 0..degree+1, by Newton
+def interpolate(values: Sequence[int], den: int, var: str) -> UniPoly:
+    """The polynomial p in var of degree <= D = len(values) - 2 with
+    p(i) = values[i] / den at the integer points i = 0..D+1, by Newton
     forward differences.
 
-    The point degree+1 is the check: its difference of order degree+1 must
+    The point D+1 is the check: its difference of order D+1 must
     vanish, and ArithmeticError is raised when it does not, so values of a
     polynomial of higher degree are refused instead of being interpolated
-    through the first degree+1 points.  With c_i the i-th difference at 0,
-    p = sum_i c_i C(var, i); times degree! that is integer throughout, and
-    the division by den * degree! happens once, in the canonical form.
+    through the first D+1 points.  With c_i the i-th difference at 0,
+    p = sum_i c_i C(var, i); times D! that is integer throughout, and the
+    division by den * D! happens once, in the canonical form.  ValueError
+    for fewer than 2 values.
     """
-    if degree < 0 or len(values) != degree + 2:
-        raise ValueError(
-            f"need degree >= 0 and degree + 2 values, got degree {degree} "
-            f"and {len(values)} values")
+    degree = len(values) - 2
+    if degree < 0:
+        raise ValueError(f"need at least 2 values, got {len(values)}")
     # the differences here and the Newton-basis Horner steps below work in
     # place: at a sweep's small degrees a new list per step costs more than
     # the arithmetic
@@ -385,7 +394,7 @@ def interpolate(values: Sequence[int], den: int, degree: int,
             f"the values are not those of a polynomial of degree <= {degree}: "
             f"difference {degree + 1} is {row[0]}/{den}")
     # Horner's rule in the Newton basis:
-    # acc <- acc * (var - i) + c_i degree!/i!
+    # acc <- acc * (var - i) + c_i D!/i!
     acc = [heads[degree]]
     scale = 1
     for i in range(degree - 1, -1, -1):

@@ -6,12 +6,15 @@ powers, so those are the operations a series has; a product of series of
 different orders is truncated to the smaller order.  Every series the
 routes raise to a power has constant term 1, so a power, negative or not,
 needs a nonzero constant term (a unit of Q[z]).  Builders for the
-generating functions used downstream live here as well: (x/(e^x-1))^r and
-the two constructions of the auxiliary series F_k(x, z).
+generating functions used downstream live here as well: (x/(e^x-1))^r, the
+higher-order Bernoulli polynomials read off it, and the two constructions
+of the auxiliary series F_k(x, z).  The named families they read come from
+specialfns, which imports nothing but the base ring.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -68,8 +71,7 @@ class TruncSeries:
         polycore.power_rows; the constant coefficient must be a nonzero
         constant, a unit of Q[z] (ValueError otherwise)."""
         return TruncSeries(
-            self.order, power_rows(self.coeffs, a, self.order, self.var),
-            self.var)
+            self.order, power_rows(self.coeffs, a, self.order), self.var)
 
 
 def x_over_expm1_pow(r: int, order: int) -> TruncSeries:
@@ -80,6 +82,30 @@ def x_over_expm1_pow(r: int, order: int) -> TruncSeries:
         order, [UniPoly.constant(Fraction(1, factorial(m + 1)), "z")
                 for m in range(order + 1)])
     return expm1_over_x ** -r
+
+
+def higher_bernoulli_poly(m: int, r: int) -> UniPoly:
+    """Order-r Bernoulli polynomial: m! * [x^m] (x/(e^x-1))^r e^{zx}, read
+    off the first m+1 coefficients of (x/(e^x-1))^r by _exp_zx_read_off."""
+    if m < 0 or r < 1:
+        raise ValueError("need m >= 0 and r >= 1")
+    return _exp_zx_read_off(x_over_expm1_pow(r, m), m)
+
+
+def _exp_zx_read_off(series: TruncSeries, m: int) -> UniPoly:
+    # m! [x^m] X(x) e^{zx} for a series X with constant coefficients
+    # X_0..X_m: its z^d coefficient is m!/d! X_{m-d}, formed as an integer
+    # numerator over the lcm of the X_i denominators
+    xs = [series.coefficient(i) for i in range(m + 1)]
+    den = math.lcm(*[x.den for x in xs])
+    nums = [0] * (m + 1)
+    scale = 1  # m!/d!
+    for d in range(m, -1, -1):
+        x = xs[m - d]
+        if x.nums:
+            nums[d] = scale * x.nums[0] * (den // x.den)
+        scale *= d
+    return UniPoly._build(nums, den, "z")
 
 
 def build_F_direct(k: int, order: int) -> TruncSeries:

@@ -1,7 +1,10 @@
 """Named polynomial and number families.
 
-Bernoulli numbers B_k and polynomials B_k(z), the Eulerian number triangle
-A(k, j) and polynomials A_k(y), and higher-order Bernoulli polynomials.
+Bernoulli numbers B_k and polynomials B_k(z), and the Eulerian number
+triangle A(k, j) and polynomials A_k(y), each grown on demand in a
+process-wide cache.  This module reads only the base ring, polycore; the
+higher-order Bernoulli polynomials, which need a power series, live in
+series.
 """
 
 from __future__ import annotations
@@ -121,29 +124,3 @@ def eulerian_poly(k: int) -> UniPoly:
         raise ValueError("k must be >= 0")
     eulerian_cache.ensure(k)
     return eulerian_cache.polys[k]
-
-
-def higher_bernoulli_poly(m: int, r: int) -> UniPoly:
-    """Order-r Bernoulli polynomial: m! * [x^m] (x/(e^x-1))^r e^{zx}, read
-    off the first m+1 coefficients of (x/(e^x-1))^r by _exp_zx_read_off."""
-    if m < 0 or r < 1:
-        raise ValueError("need m >= 0 and r >= 1")
-    # local import: the series engine builds its generators on this module
-    from .series import x_over_expm1_pow
-    return _exp_zx_read_off(x_over_expm1_pow(r, m), m)
-
-
-def _exp_zx_read_off(series, m: int) -> UniPoly:
-    # m! [x^m] X(x) e^{zx} for a series X with constant coefficients
-    # X_0..X_m: its z^d coefficient is m!/d! X_{m-d}, formed as an integer
-    # numerator over the lcm of the X_i denominators
-    xs = [series.coefficient(i) for i in range(m + 1)]
-    den = math.lcm(*[x.den for x in xs])
-    nums = [0] * (m + 1)
-    scale = 1  # m!/d!
-    for d in range(m, -1, -1):
-        x = xs[m - d]
-        if x.nums:
-            nums[d] = scale * x.nums[0] * (den // x.den)
-        scale *= d
-    return UniPoly._build(nums, den, "z")

@@ -32,12 +32,27 @@ def test_rational_roundtrip():
         assert Fraction(fmt_rational(q)) == q
 
 
+#: (coefficients, variable, plain, LaTeX), as the renderers print them
+RENDERED = [
+    ([0, Fraction(-1, 3), 1, Fraction(-2, 3)], "z",
+     "-2/3*z^3 + z^2 - 1/3*z", r"-\frac{2}{3}z^{3}+z^{2}-\frac{1}{3}z"),
+    ((), "z", "0", "0"),
+    ([1], "z", "1", "1"),
+    ([-1], "z", "-1", "-1"),
+    ([0, -1], "z", "-z", "-z"),
+    ([Fraction(-3, 4)], "z", "-3/4", r"-\frac{3}{4}"),
+    ([Fraction(1, 2), 0, -1], "z", "-z^2 + 1/2", r"-z^{2}+\frac{1}{2}"),
+    ([0, 2, Fraction(-5, 3), 1], "y",
+     "y^3 - 5/3*y^2 + 2*y", r"y^{3}-\frac{5}{3}y^{2}+2y"),
+    ([Fraction(-7, 2), 0, 1], "y", "y^2 - 7/2", r"y^{2}-\frac{7}{2}"),
+]
+
+
 def test_poly_rendering():
-    p = UniPoly([0, Fraction(-1, 3), 1, Fraction(-2, 3)], "z")
-    assert poly_plain(p) == "-2/3*z^3 + z^2 - 1/3*z"
-    assert poly_latex(p) == r"-\frac{2}{3}z^{3}+z^{2}-\frac{1}{3}z"
-    assert poly_plain(UniPoly((), "z")) == "0"
-    assert poly_plain(UniPoly([1], "z")) == "1"
+    for coeffs, var, plain, latex in RENDERED:
+        p = UniPoly(coeffs, var)
+        assert poly_plain(p) == plain, coeffs
+        assert poly_latex(p) == latex, coeffs
 
 
 def test_compute_s_all_routes_json(capsys):

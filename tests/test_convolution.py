@@ -637,8 +637,7 @@ def test_s_direct_forms_no_kernel_product(monkeypatch):
     for module, name in [(pc, "_mul_add"), (pc, "dot"), (conv, "dot"),
                          (pc, "power_rows"), (conv, "power_rows"),
                          (conv, "build_F_direct"), (conv, "multisum_power"),
-                         (conv, "multisum_poly"), (conv, "_capped_walk"),
-                         (conv, "eulerian_poly"),
+                         (conv, "multisum_poly"), (conv, "eulerian_poly"),
                          (sf, "eulerian_poly"), (conv, "bernoulli_poly"),
                          (sf, "bernoulli_poly")]:
         monkeypatch.setattr(module, name, forbidden)

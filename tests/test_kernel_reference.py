@@ -179,7 +179,7 @@ def ref_series_product(f, g, top):
 def test_power_rows_match_repeated_reference_products(h0, rest, a, top):
     h = [RefPoly([h0])] + [RefPoly(cs) for cs in rest]
     polys = [UniPoly([h0], "y")] + [UniPoly(cs, "y") for cs in rest]
-    got = power_rows(polys, a, top, "y")
+    got = power_rows(polys, a, top)
     assert len(got) == top + 1
     for g in got:
         assert_canonical(g)
@@ -208,7 +208,7 @@ def test_power_rows_refuses_an_h0_that_is_not_a_nonzero_constant(
     polys = [UniPoly(h0, "y")] + [UniPoly(cs, "y") for cs in rest]
     with mock.patch.object(pc, "dot", side_effect=AssertionError("a row")):
         with pytest.raises(ValueError):
-            power_rows(polys, a, top, "y")
+            power_rows(polys, a, top)
 
 
 def values_over_one_denominator(r: RefPoly, points: int):
@@ -224,7 +224,7 @@ def test_interpolation_recovers_the_reference(a, extra):
     r = RefPoly(a)
     degree = max(len(r.cs) - 1, 0) + extra
     nums, den = values_over_one_denominator(r, degree + 2)
-    got = interpolate(nums, den, degree, "y")
+    got = interpolate(nums, den, "y")
     assert_canonical(got)
     assert got.var == "y"
     assert same(got, r)
@@ -233,18 +233,20 @@ def test_interpolation_recovers_the_reference(a, extra):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(scalars, min_size=1, max_size=12), scalars.filter(bool))
 def test_interpolation_refuses_values_above_the_degree_bound(a, lead):
-    # a polynomial of degree exactly D + 1, fed in with the bound D
+    # a polynomial of degree exactly D + 1, fed in as D + 2 values, which
+    # set the bound D
     r = RefPoly(list(a) + [lead])
-    degree = len(r.cs) - 2
-    nums, den = values_over_one_denominator(r, degree + 2)
+    nums, den = values_over_one_denominator(r, len(r.cs))
     with pytest.raises(ArithmeticError):
-        interpolate(nums, den, degree, "z")
+        interpolate(nums, den, "z")
 
 
-def test_interpolation_needs_degree_plus_two_values():
-    for values, degree in (([], -1), ([1], 0), ([1, 2, 3], 0), ([1, 2], 1)):
+def test_interpolation_refuses_fewer_than_two_values():
+    # D + 2 values fix the degree bound D >= 0: one value fixes none
+    for values in ([], [1], [0]):
         with pytest.raises(ValueError):
-            interpolate(values, 1, degree, "z")
+            interpolate(values, 1, "z")
+    assert interpolate([3, 3], 1, "z") == UniPoly([3], "z")
 
 
 @settings(max_examples=100, deadline=None)

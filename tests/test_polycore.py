@@ -89,6 +89,17 @@ def test_inexact_coefficients_are_refused():
     assert P(Fraction(1, 3), 2) == UniPoly([Fraction(1, 3), Fraction(2)])
 
 
+@pytest.mark.parametrize("p", [P(1, 2), UniPoly((), "z")])
+def test_a_float_argument_raises_type_error(p):
+    # every way a float can reach the ring raises the same error, the zero
+    # polynomial included, and before any rounded value is used
+    for operation in (lambda: p(0.5), lambda: p.compose_affine(0.5, 1),
+                      lambda: p.compose_affine(1, 0.5), lambda: p * 0.5,
+                      lambda: p + 0.5, lambda: UniPoly([0.5])):
+        with pytest.raises(TypeError):
+            operation()
+
+
 def test_falling_product():
     assert falling_product(3, 0, 2) == P(2, -9, 9)
     assert falling_product(1, 0, 2) == P(-1, 1) * P(-2, 1)

@@ -243,11 +243,11 @@ def test_bernoulli_cache_check_outside_a_run_builds_per_call(monkeypatch):
 
 def _record_comparison_orders(monkeypatch):
     # the orders to which the Bernoulli cache check builds x/(e^x-1), in
-    # call order
-    import bernkit.series as series
+    # call order, read at the binding the check calls
+    import bernkit.convolution as conv
     orders = []
-    build = series.x_over_expm1_pow
-    monkeypatch.setattr(series, "x_over_expm1_pow",
+    build = conv.x_over_expm1_pow
+    monkeypatch.setattr(conv, "x_over_expm1_pow",
                         lambda r, order: orders.append(order)
                         or build(r, order))
     return orders

@@ -5,11 +5,11 @@ import pytest
 
 from bernkit.convolution import verify_polylog
 from bernkit.polycore import UniPoly, binomial, factorial, falling_product
-from bernkit.series import TruncSeries, x_over_expm1_pow
+from bernkit.series import (TruncSeries, higher_bernoulli_poly,
+                            x_over_expm1_pow)
 from bernkit.specialfns import (BernoulliCache, bernoulli_number,
                                 bernoulli_poly, eulerian_cache,
-                                eulerian_number, eulerian_poly,
-                                higher_bernoulli_poly)
+                                eulerian_number, eulerian_poly)
 
 # golden rows: B_k(z) and A_k(y) for k <= 6, ascending coefficients
 BERNOULLI_TABLE = {

@@ -1,5 +1,6 @@
-"""Start-up cost: importing bernkit loads no standard-library module that
-its arithmetic does not use.
+"""Start-up cost and import structure: importing bernkit loads no
+standard-library module that its arithmetic does not use, and its modules
+import one another in one order, at top level only.
 
 Every bernkit command runs in a fresh interpreter, so what the import pulls
 in is paid once per command.  This file uses the standard library only, so
@@ -9,6 +10,7 @@ it also runs without pytest, from the repository root:
         t.test_import_loads_no_heavy_module()"
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +32,43 @@ def test_import_loads_no_heavy_module():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+#: bernkit's modules in import order: each imports only modules before it
+LAYERS = ("polycore", "specialfns", "series", "convolution", "cli")
+
+
+def _bernkit_imports(node):
+    # the bernkit modules that one import statement names
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            return ([node.module.split(".")[0]] if node.module
+                    else [alias.name for alias in node.names])
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return []
+    return [name.split(".")[1] for name in names
+            if name.startswith("bernkit.")]
+
+
+def test_modules_import_one_another_in_layer_order_at_top_level_only():
+    # parsed here, in the test process, so no module is imported to check it
+    package = os.path.dirname(bernkit.__file__)
+    names = sorted(f[:-3] for f in os.listdir(package) if f.endswith(".py"))
+    assert names == sorted(LAYERS + ("__init__",))
+    for name in names:
+        with open(os.path.join(package, f"{name}.py"), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        nested = [(node.name, imported)
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for sub in ast.walk(node)
+                  for imported in _bernkit_imports(sub)]
+        assert nested == [], f"{name} imports inside a function: {nested}"
+        if name != "__init__":
+            top = {imported for node in tree.body
+                   for imported in _bernkit_imports(node)}
+            below = set(LAYERS[:LAYERS.index(name)])
+            assert top <= below, f"{name} imports {sorted(top - below)}"

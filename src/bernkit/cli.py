@@ -319,16 +319,10 @@ def cmd_table(args) -> int:
 # seq
 # ---------------------------------------------------------------------------
 
-#: sequence name -> (the function in `convolution` that tabulates it, the
-#: index of its first term)
-SEQUENCES = {"c": ("c_sequence", 0), "a": ("a_sequence", 0),
-             "c3": ("c3_sequence", 1)}
-
-
 def cmd_seq(args) -> int:
     _check_range(args.count >= 1, "need count >= 1")
     name = args.sequence
-    function, start = SEQUENCES[name]
+    function, start, _ = conv.SEQUENCES[name]
     values = getattr(conv, function)(args.count)
     try:
         checks = conv.seq_checks(name, values)
@@ -424,7 +418,7 @@ COMMANDS = {
     "table": ("cmd_table", "regenerate a reference table",
               ("table", int, TABLES), lambda _: FORMAT),
     "seq": ("cmd_seq", "emit a sequence prefix with checks",
-            ("sequence", str, SEQUENCES),
+            ("sequence", str, conv.SEQUENCES),
             lambda _: {"count": (int, REQUIRED), **FORMAT}),
     "verify": ("cmd_verify", "run a verification sweep",
                ("suite", str, conv.SUITES + ("all",)),

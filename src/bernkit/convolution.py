@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from operator import add, mul
 
 from . import specialfns
@@ -69,7 +69,7 @@ def s_direct(n: int, k: int) -> UniPoly:
             [b.numerator] + [b.denominator * i ** (r - 1)
                              for i in range(degree + 1)]))
         dens[j] = b.denominator
-    den, sums = _point_walk(factors, dens, degree + 2)
+    den, sums = _point_walk(factors, dens)
     terms = []
     for m in range(1, n + 1):
         t = (k + 1) * (n - m) + k
@@ -83,8 +83,7 @@ def s_direct(n: int, k: int) -> UniPoly:
     return interpolate(total, common, "z")
 
 
-def _point_walk(factors: dict[int, list[int]], dens: dict[int, int],
-                points: int):
+def _point_walk(factors: dict[int, list[int]], dens: dict[int, int]):
     """(den, sums) for sums over weak compositions of products of
     point-value factors.
 
@@ -128,31 +127,34 @@ def _point_walk(factors: dict[int, list[int]], dens: dict[int, int],
         if parts == 1:
             return factors[total]
         # a cap of total leaves every part free
-        return _walk(pairs, weighted, total, total, parts, [1] * points,
-                     [0] * points)
+        return _walk(pairs, weighted, total, total, parts)
 
     return den, sums
 
 
-def _walk(pairs, factor, cap, rest, parts, prefix, acc):
-    """acc plus prefix times the product, point by point, of every weak
-    composition of rest into parts >= 2 parts, each at most cap: the one
-    composition walk of s_direct and multisum_poly.
+def _walk(pairs, factor, cap, rest, parts):
+    """The sum, point by point, of the products of every weak composition
+    of rest into parts >= 2 parts, each at most cap: the one composition
+    walk of s_direct and multisum_poly, which call it only where such a
+    composition exists.
 
     A part j at a level of `parts` parts contributes factor(rest, parts, j)
     and ranges over max(0, rest - (parts-1) cap)..min(cap, rest), so the
     parts after it can still reach rest - j; pairs(rest) lists the
-    point-value products of the last two parts.  A module function, not a
-    closure: a closure that calls itself is a reference cycle, which would
-    keep s_direct's caches alive after it returns, until the cyclic
-    collector runs."""
-    if parts == 2:
-        for pair in pairs(rest):
-            acc = list(map(add, acc, map(mul, prefix, pair)))
-        return acc
-    for j in range(max(0, rest - (parts - 1) * cap), min(cap, rest) + 1):
-        acc = _walk(pairs, factor, cap, rest - j, parts - 1,
-                    list(map(mul, prefix, factor(rest, parts, j))), acc)
+    point-value products of the last two parts.  The pending prefixes are
+    kept on a list, not the call stack, so any number of parts is walked;
+    the sums are exact, so their order does not matter."""
+    # the empty product and the empty sum take the factors' length
+    acc, pending = repeat(0), [(rest, parts, repeat(1))]
+    while pending:
+        rest, parts, prefix = pending.pop()
+        if parts == 2:
+            for pair in pairs(rest):
+                acc = list(map(add, acc, map(mul, prefix, pair)))
+            continue
+        for j in range(max(0, rest - (parts - 1) * cap), min(cap, rest) + 1):
+            pending.append((rest - j, parts - 1,
+                            list(map(mul, prefix, factor(rest, parts, j)))))
     return acc
 
 
@@ -321,7 +323,7 @@ def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
                     for j in range(max(0, rest - k), min(k, rest) + 1)]
              for rest in range(max(0, nu - (n - 2) * k), min(2 * k, nu) + 1)}
     values = _walk(pairs.__getitem__, lambda rest, parts, j: factors[j], k,
-                   nu, n, [1] * (nu + 2), [0] * (nu + 2))
+                   nu, n)
     return interpolate(values, common ** n, "y")
 
 
@@ -354,22 +356,21 @@ def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
 
 
 def _multiplicity_vectors(k, n, nu):
-    # vectors (m_0..m_k) with sum m_t = n and sum t*m_t = nu
-    def rec(t, slots, weight):
+    # vectors (m_0..m_k) with sum m_t = n and sum t*m_t = nu; the pending
+    # heads are kept on a list, not the call stack, so any k is walked
+    pending = [((), n, nu)]
+    while pending:
+        head, slots, weight = pending.pop()
+        t = len(head)
         if t == k:
             if k * slots == weight:
-                yield (slots,)
-            return
+                yield head + (slots,)
+            continue
         hi = slots if t == 0 else min(slots, weight // t)
-        for m_t in range(hi + 1):
-            rest_weight = weight - t * m_t
-            # remaining slots hold values in t+1..k
-            if rest_weight > (slots - m_t) * k:
-                continue
-            for tail in rec(t + 1, slots - m_t, rest_weight):
-                yield (m_t,) + tail
-
-    yield from rec(0, n, nu)
+        # remaining slots hold values in t+1..k
+        pending += [(head + (m_t,), slots - m_t, weight - t * m_t)
+                    for m_t in range(hi + 1)
+                    if weight - t * m_t <= (slots - m_t) * k]
 
 
 def multisum_power(k: int, n: int) -> list[UniPoly]:
@@ -498,13 +499,17 @@ def u_nu(k: int, n: int, nu: int) -> int:
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
 
-    def rec(parts, remaining, prod):
+    # (parts left, their total, the product so far), on a list, not the
+    # call stack, so any n is walked
+    total, pending = 0, [(n, nu + n, 1)]
+    while pending:
+        parts, remaining, prod = pending.pop()
         if parts == 1:
-            return prod * remaining ** k
-        return sum(rec(parts - 1, remaining - j, prod * j ** k)
-                   for j in range(1, remaining - parts + 2))
-
-    return rec(n, nu + n, 1)
+            total += prod * remaining ** k
+            continue
+        pending += [(parts - 1, remaining - j, prod * j ** k)
+                    for j in range(1, remaining - parts + 2)]
+    return total
 
 
 def u_from_a_series(k: int, n: int, nu: int) -> int:
@@ -545,25 +550,37 @@ def coeff_z_thm8(n: int, k: int) -> Fraction:
         * sum_j (-1)^j a_j^{(k,n+1)} (n+j)! (k(n+1)-1-j)!
 
     evaluated for any parity of (n, k); it is 0 when n and k are both even
-    (S is then divisible by z^2).
+    (S is then divisible by z^2).  The sum is _z_coefficient's, over the
+    row a_coeff_list(k, n+1).
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    a = a_coeff_list(k, n + 1)
-    fact = _factorials((k + 1) * (n + 1) - 1)
-    acc = sum((-1) ** j * a[j] * fact[n + j] * fact[k * (n + 1) - 1 - j]
-              for j in range(len(a)))
-    sign = (-1) ** (k * (n + 1) - 1)
-    return Fraction(sign * (n + 1) * acc,
-                    fact[k] * fact[(k + 1) * (n + 1) - 1])
+    return _z_coefficient(a_coeff_list(k, n + 1), n, k)
 
 
-def _factorials(top: int) -> list[int]:
-    # [0!, 1!, ..., top!], one multiplication per entry
-    fact = [1]
-    for i in range(1, top + 1):
-        fact.append(fact[-1] * i)
-    return fact
+def _z_coefficient(row: list[int], n: int, k: int) -> Fraction:
+    """Theorem 8's z-coefficient from row, the coefficients of
+    (A_k(y)/y)^{n+1}, j = 0..top with top = (n+1)(k-1).
+
+    The signed factorial product (-1)^j (n+j)! (k(n+1)-1-j)! of term j is
+    carried from the term before by one multiply and one exact division.
+    The row is palindromic and the factorial product is symmetric under
+    j -> top-j, so terms j and top-j differ by (-1)^top: the sum is
+    (1 + (-1)^top) times the terms j < top/2, plus the middle term when top
+    is even.  At odd top, that is n and k both even, the sum is 0."""
+    top = (n + 1) * (k - 1)
+    last = k * (n + 1) - 1
+    u = factorial(n) * factorial(last)
+    acc = 0
+    for j in range((top + 1) // 2):
+        acc += row[j] * u
+        # (last-j) divides (last-j)!, so the division is exact
+        u = -u * (n + j + 1) // (last - j)
+    acc *= 1 + (-1) ** top
+    if top % 2 == 0:
+        acc += row[top // 2] * u
+    return Fraction((-1) ** last * (n + 1) * acc,
+                    factorial(k) * factorial(last + n + 1))
 
 
 def coeff_z_closed(n: int, k: int) -> Fraction:
@@ -665,34 +682,21 @@ def c_sequence(count: int) -> list[Fraction]:
 
 
 def c3_sequence(count: int) -> list[Fraction]:
-    """z-coefficients of S[n,3](z) for n = 1..count, via the alternating-sum
-    formula, where the (A_3(y)/y)^{n+1} = (1+4y+y^2)^{n+1} coefficients are
-    carried from one n to the next by one multiplication by 1+4y+y^2.  The
-    signed factorial product (-1)^j (n+j)! (3n+2-j)! of term j is carried
-    from the term before by one small multiply and one exact division.
-    The row is palindromic and (n+j)! (3n+2-j)! is symmetric under
-    j -> 2n+2-j, so terms j and 2n+2-j are equal: the sum is twice the
-    terms j <= n plus the middle one."""
+    """z-coefficients of S[n,3](z) for n = 1..count, by Theorem 8's sum
+    (_z_coefficient), where the (A_3(y)/y)^{n+1} = (1+4y+y^2)^{n+1}
+    coefficients are carried from one n to the next by one multiplication
+    by 1+4y+y^2."""
     if count < 1:
         raise ValueError("count must be >= 1")
     out = []
     row = [1, 4, 1]
-    fact = _factorials(4 * (count + 1) - 1)
     for n in range(1, count + 1):
-        n1 = n + 1
         nxt = row + [0, 0]
         for j, c in enumerate(row):
             nxt[j + 1] += 4 * c
             nxt[j + 2] += c
         row = nxt
-        acc = 0
-        u = fact[n] * fact[3 * n + 2]
-        for j in range(n1):
-            acc += row[j] * u
-            # (3n+2-j) divides (3n+2-j)!, so the division is exact
-            u = -u * (n + j + 1) // (3 * n + 2 - j)
-        acc = 2 * acc + row[n1] * u
-        out.append(Fraction((-1) ** n * n1 * acc, 6 * fact[4 * n1 - 1]))
+        out.append(_z_coefficient(row, n, 3))
     return out
 
 
@@ -707,32 +711,38 @@ def c3_recurrence_residual(values: list[Fraction], n: int) -> Fraction:
             - (n + 2) * (n + 3) * c_n)
 
 
+def _c3_recurrence_holds(values: list[Fraction]) -> bool:
+    if len(values) < 3:
+        raise ValueError("need count >= 3: the c3 recurrence check "
+                         "reads triples of terms")
+    return all(c3_recurrence_residual(values, n) == 0
+               for n in range(1, len(values) - 1))
+
+
+#: sequence name -> (the function of this module that tabulates it, the
+#: index of its first term, {check name: test of a prefix}), in the order
+#: the CLI lists them; the checks in the order it prints them.  The function
+#: is looked up on this module by name when a command runs, so a wrapper
+#: bound to the module attribute (a tracer) is the one called.
+SEQUENCES = {
+    "c": ("c_sequence", 0, {
+        "unit_fractions": lambda c: all(v.numerator == 1 for v in c),
+        "even_denominators": lambda c: all(v.denominator % 2 == 0 for v in c),
+        "denominator_divisible_by_2(3n+2)": lambda c: all(
+            v.denominator % (2 * (3 * n + 2)) == 0 for n, v in enumerate(c))}),
+    "a": ("a_sequence", 0, {"positive_integers": lambda a: all(
+        isinstance(v, int) and v > 0 for v in a)}),
+    "c3": ("c3_sequence", 1,
+           {"recurrence_residual_zero": _c3_recurrence_holds}),
+}
+
+
 def seq_checks(name: str, values: list) -> dict[str, bool]:
     """Consistency flags, as the CLI prints them, of a prefix `values` of
-    sequence `name` ("a", "c" or "c3").  A c3 prefix of fewer than 3 terms
-    holds no triple to check: ValueError."""
-    if name == "a":
-        return {"positive_integers": all(
-            isinstance(v, int) and v > 0 for v in values)}
-    if name == "c":
-        flags = {"unit_fractions": True, "even_denominators": True,
-                 "denominator_divisible_by_2(3n+2)": True}
-        for n, v in enumerate(values):
-            if v.numerator != 1:
-                flags["unit_fractions"] = False
-            if v.denominator % 2:
-                flags["even_denominators"] = False
-            if v.denominator % (2 * (3 * n + 2)):
-                flags["denominator_divisible_by_2(3n+2)"] = False
-        return flags
-    if name == "c3":
-        if len(values) < 3:
-            raise ValueError("need count >= 3: the c3 recurrence check "
-                             "reads triples of terms")
-        ok = all(c3_recurrence_residual(values, n) == 0
-                 for n in range(1, len(values) - 1))
-        return {"recurrence_residual_zero": ok}
-    raise ValueError(f"unknown sequence {name!r}")
+    sequence `name`: one per check of its SEQUENCES row (KeyError for a
+    name the table lacks).  A c3 prefix of fewer than 3 terms holds no
+    triple to check: ValueError."""
+    return {check: test(values) for check, test in SEQUENCES[name][2].items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import pickle
 from fractions import Fraction
 
@@ -455,6 +456,26 @@ def test_coeff_z_matches_direct():
             assert coeff_z_thm8(n, k) == s_direct(n, k).coefficient(1)
 
 
+def coeff_z_by_the_full_sum(n, k):
+    # Theorem 8's alternating sum over every term of the row, each factorial
+    # from math.factorial: the reference for the palindromic half sum with
+    # carried products
+    row = a_coeff_list(k, n + 1)
+    last = k * (n + 1) - 1
+    total = sum((-1) ** j * a * math.factorial(n + j)
+                * math.factorial(last - j) for j, a in enumerate(row))
+    return Fraction((-1) ** last * (n + 1) * total,
+                    math.factorial(k) * math.factorial(last + n + 1))
+
+
+def test_coeff_z_matches_the_full_alternating_sum():
+    # the row's top index (n+1)(k-1) is odd exactly at even n and even k,
+    # so the grid holds both parities
+    for n in range(1, 13):
+        for k in range(1, 7):
+            assert coeff_z_thm8(n, k) == coeff_z_by_the_full_sum(n, k), (n, k)
+
+
 def test_coeff_z_even_even_is_zero():
     assert coeff_z_thm8(2, 2) == 0
     # the alternating sum vanishes on the whole even-even grid
@@ -530,6 +551,17 @@ def test_u_nu_values():
             assert u_nu(k, n, 0) == 1
             assert u_nu(k, n, 1) == n * 2 ** k
     assert u_nu(1, 2, 2) == 10
+
+
+@pytest.mark.parametrize("compute, args, expected", [
+    (multisum_poly, (1, 0, 1200), UniPoly.constant(1, "y")),
+    (u_nu, (1, 1200, 0), 1),
+    # k + 1 = 1,201 multiplicities
+    (multisum_poly_multinomial, (1200, 0, 1), UniPoly.constant(1, "y"))])
+def test_walks_take_more_parts_than_the_recursion_limit(compute, args,
+                                                        expected):
+    # each walk keeps its pending work on a list, not the call stack
+    assert compute(*args) == expected
 
 
 def test_u_matches_series_expansion():
@@ -655,11 +687,11 @@ def test_s_direct_refuses_a_sum_above_its_degree_bound(monkeypatch):
     import bernkit.convolution as conv
     real = conv._point_walk
 
-    def one_degree_up(factors, dens, points):
+    def one_degree_up(factors, dens):
         # g_0(z) -> z g_0(z): at (n, k) = (2, 1), D = 5, the compositions
         # (0, 1) and (1, 0) then have products of degree 6
         factors[0] = [z * v for z, v in enumerate(factors[0])]
-        return real(factors, dens, points)
+        return real(factors, dens)
 
     monkeypatch.setattr(conv, "_point_walk", one_degree_up)
     with pytest.raises(ArithmeticError):

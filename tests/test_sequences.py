@@ -148,7 +148,7 @@ def test_seq_tables_and_checks():
         with pytest.raises(ValueError):
             seq_checks("c3", c3_sequence(count))
 
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError):  # not a row of the table
         seq_checks("b", [1])
     with pytest.raises(ValueError):
         a_sequence(0)

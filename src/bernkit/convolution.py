@@ -31,8 +31,9 @@ from .polycore import (UniPoly, binomial, dot, factorial, falling_product,
                        interpolate, multinomial, power_rows)
 from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
                          eulerian_poly)
-from .series import (_exp_zx_read_off, build_F_direct, build_F_eulerian,
-                     higher_bernoulli_poly, x_over_expm1_pow)
+from .series import (TruncSeries, _exp_zx_read_off, _x_over_expm1_nums,
+                     build_F_direct, build_F_eulerian, higher_bernoulli_poly,
+                     x_over_expm1_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,9 @@ def per_run_memo():
       route at n = n'+1 and by lemma 5's power computation;
     - ("multisum factor", k, t, m): (C(k,t) A_t(y))^m, the factors of
       multisum_poly_multinomial;
-    - "x/(e^x-1)": the series of verify_bernoulli_cache.
+    - "x/(e^x-1)": x/(e^x-1), through the largest order asked for so far,
+      shared by lemma 4's Eulerian side and verify_bernoulli_cache
+      (_x_over_expm1_per_run).
 
     `run_suite` opens one per call, so nothing outlives a sweep and a fault
     injected into a family cache between sweeps is seen by the next one."""
@@ -373,23 +376,26 @@ def _multiplicity_vectors(k, n, nu):
                     if weight - t * m_t <= (slots - m_t) * k]
 
 
-def multisum_power(k: int, n: int) -> list[UniPoly]:
-    """[S^{(n)}_{k,0}(y), ..., S^{(n)}_{k,nk}(y)] at once: they are the
-    x-coefficients p_t of (sum_{j=0}^{k} a_j x^j)^n, a_j = C(k,j) A_j(y),
-    by J.C.P. Miller's recurrence in the base ring (polycore.power_rows).
-    Since a_0 = A_0 = 1, p_0 = 1 and
+def multisum_power(k: int, n: int, top: int | None = None) -> list[UniPoly]:
+    """[S^{(n)}_{k,0}(y), ..., S^{(n)}_{k,top}(y)] at once, top = nk when
+    not given: they are the x-coefficients p_t of
+    (sum_{j=0}^{k} a_j x^j)^n, a_j = C(k,j) A_j(y), by J.C.P. Miller's
+    recurrence in the base ring (polycore.power_rows).  Since
+    a_0 = A_0 = 1, p_0 = 1 and
 
         t p_t = sum_{i=1}^{min(k,t)} ((n+1) i - t) a_i p_{t-i},
 
-    one sum of products and one division by t per row.  The a_j must lie
-    in Z[y] (ValueError otherwise), so every p_t does as well, and that is
-    checked: a row outside Z[y] raises ArithmeticError."""
+    one sum of products and one division by t per row; rows through top
+    read only the a_j with j <= top.  The a_j must lie in Z[y] (ValueError
+    otherwise), so every p_t does as well, and that is checked: a row
+    outside Z[y] raises ArithmeticError."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    base = [binomial(k, j) * eulerian_poly(j) for j in range(k + 1)]
+    top = n * k if top is None else top
+    base = [binomial(k, j) * eulerian_poly(j) for j in range(min(k, top) + 1)]
     for a_j in base:
         a_j.integer_coeffs()  # ValueError unless a_j is in Z[y]
-    power = power_rows(base, n, n * k)
+    power = power_rows(base, n, top)
     for t, p_t in enumerate(power):
         if p_t.den != 1:
             raise ArithmeticError(f"row {t} of the power is not in Z[y]")
@@ -404,11 +410,15 @@ def _multisum_power_per_run(k: int, n: int) -> list[UniPoly]:
 
 def multisum_poly_power(k: int, nu: int, n: int) -> UniPoly:
     """S^{(n)}_{k,nu}(y) read as row nu of multisum_power(k, n), the zero
-    polynomial for nu > nk.  Inside a `per_run_memo` block the power is
-    built once per (k, n)."""
+    polynomial for nu > nk.  Inside a `per_run_memo` block the whole power
+    is built once per (k, n), for the eulerian route to share; outside one
+    only its rows through min(nu, nk)."""
     if nu < 0:
         raise ValueError("need nu >= 0")
-    power = _multisum_power_per_run(k, n)
+    if _run_memo.get() is None:
+        power = multisum_power(k, n, min(nu, n * k))
+    else:
+        power = _multisum_power_per_run(k, n)
     return power[nu] if nu < len(power) else UniPoly((), "y")
 
 
@@ -847,9 +857,12 @@ def verify_routes(n: int, k: int) -> str | None:
 
 
 def verify_lemma4(k: int, order: int) -> str | None:
-    """The Eulerian construction of F_k equals the direct one."""
+    """The Eulerian construction of F_k equals the direct one.  Inside a
+    sweep the Eulerian side takes its x/(e^x-1) from the one series that
+    verify_bernoulli_cache reads (_x_over_expm1_per_run); that series is
+    built by inversion, never from Bernoulli data."""
     direct = build_F_direct(k, order)
-    eulerian = build_F_eulerian(k, order)
+    eulerian = build_F_eulerian(k, order, _x_over_expm1_per_run(order))
     for m in range(order + 1):
         if direct.coefficient(m) != eulerian.coefficient(m):
             return (f"coefficient of x^{m} differs: "
@@ -994,24 +1007,33 @@ def verify_bernoulli_cache(m: int) -> str | None:
     The cache is built by the number recurrence, the comparison value by
     series inversion that never reads the cache, so a corrupted cache entry
     cannot hide.  B_m(z) is read off the series's first m+1 coefficients
-    (series._exp_zx_read_off), with no e^{zx} series formed.  Inside a
-    sweep one x/(e^x-1) serves every m: it is built to the larger of m and
-    the top published cache entry, and rebuilt only for an m beyond that.
-    The cache is read off the specialfns module when the check runs.
+    (series._exp_zx_read_off), with no e^{zx} series formed; inside a sweep
+    the series is the one _x_over_expm1_per_run shares with lemma 4.  The
+    cache is read off the specialfns module when the check runs.
     """
     cached = bernoulli_poly(m)
-    memo = _run_memo.get()
-    if memo is None:
-        inverse = x_over_expm1_pow(1, m)
-    else:
-        inverse = memo.get("x/(e^x-1)")
-        if inverse is None or inverse.order < m:
-            inverse = memo["x/(e^x-1)"] = x_over_expm1_pow(
-                1, max(m, len(specialfns.bernoulli_cache.polys) - 1))
-    independent = _exp_zx_read_off(inverse, m)
+    independent = _exp_zx_read_off(
+        *_x_over_expm1_nums(1, m, _x_over_expm1_per_run(m)))
     if cached != independent:
         return f"cached {cached!r} != series value {independent!r}"
     return None
+
+
+def _x_over_expm1_per_run(order: int) -> TruncSeries:
+    # x/(e^x-1) through x^order or further.  Outside a sweep each call
+    # inverts (e^x-1)/x anew.  Inside one, lemma 4 and the Bernoulli cache
+    # check share one series, built to the larger of order and the top
+    # published cache entry (the cache's length, never its values) and
+    # rebuilt only for an order beyond that; a longer series cut at
+    # x^order is the same series.
+    memo = _run_memo.get()
+    if memo is None:
+        return x_over_expm1_pow(1, order)
+    inverse = memo.get("x/(e^x-1)")
+    if inverse is None or inverse.order < order:
+        inverse = memo["x/(e^x-1)"] = x_over_expm1_pow(
+            1, max(order, len(specialfns.bernoulli_cache.polys) - 1))
+    return inverse
 
 
 def degree_check(n: int, k: int, route: str = "series") -> str | None:

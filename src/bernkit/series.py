@@ -8,8 +8,12 @@ routes raise to a power has constant term 1, so a power, negative or not,
 needs a nonzero constant term (a unit of Q[z]).  Builders for the
 generating functions used downstream live here as well: (x/(e^x-1))^r, the
 higher-order Bernoulli polynomials read off it, and the two constructions
-of the auxiliary series F_k(x, z).  The named families they read come from
-specialfns, which imports nothing but the base ring.
+of the auxiliary series F_k(x, z).  (x/(e^x-1))^r is one inverse by
+power_rows and r-1 of Norlund's steps; it and the Eulerian construction of
+F_k work on series with constant coefficients as integer numerators over
+one denominator, so a scalar costs an int operation, not a polynomial
+one.  The named families they read come from specialfns, which imports
+nothing but the base ring.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
+from operator import add, mul
 
-from .polycore import UniPoly, dot, factorial, power_rows
+from .polycore import (UniPoly, _mul_add, binomial, dot, factorial,
+                       power_rows)
 from .specialfns import bernoulli_poly, eulerian_poly
 
 
@@ -74,14 +80,52 @@ class TruncSeries:
             self.order, power_rows(self.coeffs, a, self.order), self.var)
 
 
-def x_over_expm1_pow(r: int, order: int) -> TruncSeries:
-    """(x/(e^x - 1))^r, as the (-r)-th power of (e^x - 1)/x."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    expm1_over_x = TruncSeries(
-        order, [UniPoly.constant(Fraction(1, factorial(m + 1)), "z")
-                for m in range(order + 1)])
-    return expm1_over_x ** -r
+def x_over_expm1_pow(r: int, order: int,
+                     inverse: TruncSeries | None = None) -> TruncSeries:
+    """(x/(e^x - 1))^r through x^order.
+
+    x/(e^x-1) is the inverse of (e^x-1)/x, one polycore.power_rows call at
+    a = -1, unless `inverse`, x/(e^x-1) through x^order or further, is
+    given; Miller's rows do not depend on where they are cut, so a longer
+    inverse cut at x^order is the same series.  Each higher power is one
+    step of Norlund's recurrence for B^{(s)}_m = m! [x^m] (x/(e^x-1))^s,
+
+        B^{(s+1)}_m = (1 - m/s) B^{(s)}_m - m B^{(s)}_{m-1},
+
+    which on the coefficients b_m = B^{(s)}_m / m! reads
+    s b'_m = (s - m) b_m - s b_{m-1}, run on integer numerators over one
+    denominator that gains the factor s (_x_over_expm1_nums); each
+    coefficient is reduced once, at the end.  The steps cost about
+    r * order integer operations and the inverse order^2/2 terms, so a
+    power far above its order costs more than one Miller power at a = -r
+    would."""
+    nums, den = _x_over_expm1_nums(r, order, inverse)
+    return TruncSeries(order, [UniPoly._build([b], den, "z") for b in nums])
+
+
+def _x_over_expm1_nums(r: int, order: int,
+                       inverse: TruncSeries | None = None
+                       ) -> tuple[list[int], int]:
+    # x_over_expm1_pow(r, order, inverse) as the integer numerators of its
+    # coefficients over one denominator, for the callers that read it so
+    if r < 1 or order < 0:
+        raise ValueError("need r >= 1 and order >= 0")
+    if inverse is None:
+        coeffs = power_rows(
+            [UniPoly.constant(Fraction(1, factorial(m + 1)), "z")
+             for m in range(order + 1)], -1, order)
+    elif inverse.order < order:
+        raise ValueError(f"the inverse stops at x^{inverse.order}, "
+                         f"below x^{order}")
+    else:
+        coeffs = inverse.coeffs[:order + 1]
+    den = math.lcm(*[c.den for c in coeffs])
+    nums = [c.nums[0] * (den // c.den) if c.nums else 0 for c in coeffs]
+    for s in range(1, r):
+        nums = [(s - m) * b - s * before
+                for m, (b, before) in enumerate(zip(nums, [0] + nums))]
+        den *= s
+    return nums, den
 
 
 def higher_bernoulli_poly(m: int, r: int) -> UniPoly:
@@ -89,21 +133,17 @@ def higher_bernoulli_poly(m: int, r: int) -> UniPoly:
     off the first m+1 coefficients of (x/(e^x-1))^r by _exp_zx_read_off."""
     if m < 0 or r < 1:
         raise ValueError("need m >= 0 and r >= 1")
-    return _exp_zx_read_off(x_over_expm1_pow(r, m), m)
+    return _exp_zx_read_off(*_x_over_expm1_nums(r, m))
 
 
-def _exp_zx_read_off(series: TruncSeries, m: int) -> UniPoly:
+def _exp_zx_read_off(xs: list[int], den: int) -> UniPoly:
     # m! [x^m] X(x) e^{zx} for a series X with constant coefficients
-    # X_0..X_m: its z^d coefficient is m!/d! X_{m-d}, formed as an integer
-    # numerator over the lcm of the X_i denominators
-    xs = [series.coefficient(i) for i in range(m + 1)]
-    den = math.lcm(*[x.den for x in xs])
+    # X_0..X_m = xs[0..m] / den: its z^d coefficient is m!/d! X_{m-d}
+    m = len(xs) - 1
     nums = [0] * (m + 1)
     scale = 1  # m!/d!
     for d in range(m, -1, -1):
-        x = xs[m - d]
-        if x.nums:
-            nums[d] = scale * x.nums[0] * (den // x.den)
+        nums[d] = scale * xs[m - d]
         scale *= d
     return UniPoly._build(nums, den, "z")
 
@@ -123,33 +163,49 @@ def build_F_direct(k: int, order: int) -> TruncSeries:
     return TruncSeries(order, cs)
 
 
-def build_F_eulerian(k: int, order: int) -> TruncSeries:
+def build_F_eulerian(k: int, order: int,
+                     inverse: TruncSeries | None = None) -> TruncSeries:
     """F_k(x,z) rebuilt from Eulerian polynomials:
 
     (x/(e^x-1))^{k+1} e^{xz} sum_{j=0}^{k} (1-e^x)^j A_{k-j}(e^x)/(k-j)! * z^j/j!
 
-    The sum is first formed as sum_i c_i(z) y^i with y = e^x: each
-    (1-y)^j A_{k-j}(y) has degree at most k in y, so c_i(z) collects
-    [y^i] (1-y)^j A_{k-j}(y) / (j! (k-j)!) over the powers z^j.  Then
-    y^i -> e^{ix}, and e^{zx} e^{ix} = e^{(z+i)x} gives the x^m coefficient
-    of e^{zx} sum_i c_i(z) e^{ix} as sum_i c_i(z) (z+i)^m/m!, each (z+i)^m
-    carried from the one before by one multiply; one series product is
-    left.
+    Regrouped by powers of z, F = e^{zx} sum_j z^j K_j(x) with
+    K_j = (x/(e^x-1))^{k+1} P_j(x) and, y = e^x,
+    P_j = sum_i [y^i] (1-y)^j A_{k-j}(y) e^{ix} / (j! (k-j)!), whose x^m
+    coefficient is sum_i [y^i] (1-y)^j A_{k-j}(y) i^m / (j! (k-j)! m!).
+    Both factors of K_j have constant coefficients, so each K_j is one
+    product of integer numerator lists (polycore._mul_add) over one
+    denominator shared by every j, and the z^d coefficient of [x^m] F is
+    sum_j [x^{m-d+j}] K_j / (d-j)!.  (x/(e^x-1))^{k+1} is read as
+    x_over_expm1_pow's numerators, from `inverse` when given: x/(e^x-1)
+    through x^order or further.  Nothing here reads Bernoulli data.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is covered by the "
                          "direct construction)")
-    in_y = [UniPoly([1, -1], "y") ** j * eulerian_poly(k - j)
-            for j in range(k + 1)]
-    c = [UniPoly([Fraction(p.coefficient(i), factorial(j) * factorial(k - j))
-                  for j, p in enumerate(in_y)], "z")
-         for i in range(k + 1)]
-    shifts = [UniPoly([i, 1], "z") for i in range(k + 1)]
-    powers = [UniPoly.constant(1, "z")] * (k + 1)
-    at_exp = []
+    xs, x_den = _x_over_expm1_nums(k + 1, order, inverse)
+    # i^m order!/m!, so P_j's x^m numerator over k! order! is
+    # C(k,j) sum_i [y^i] (1-y)^j A_{k-j}(y) i^m order!/m!
+    weights = [factorial(order) // factorial(m) for m in range(order + 1)]
+    at = [[i ** m * w for m, w in enumerate(weights)] for i in range(k + 1)]
+    products = []
+    for j in range(k + 1):
+        in_y = (UniPoly([1, -1], "y") ** j * eulerian_poly(k - j)).nums
+        p = [0] * (order + 1)
+        for e, row in zip(in_y, at):
+            p = [v + e * i_m for v, i_m in zip(p, row)]
+        out = [0] * (2 * order + 1)
+        _mul_add(out, xs, p, binomial(k, j))
+        products.append(out)
+    den = x_den * factorial(k) * factorial(order)
+    cs = []
+    scale = []  # m!/e! for e = 0..m
     for m in range(order + 1):
-        weight = Fraction(1, factorial(m))
-        at_exp.append(dot(((c_i, p, weight) for c_i, p in zip(c, powers)),
-                          "z"))
-        powers = [p * s for p, s in zip(powers, shifts)]
-    return x_over_expm1_pow(k + 1, order) * TruncSeries(order, at_exp)
+        scale = [v * m for v in scale] + [1]
+        nums = [0] * (m + k + 1)
+        for j, k_j in enumerate(products):
+            # z^{j+e} gets [x^{m-e}] K_j m!/e!
+            nums[j:j + m + 1] = map(add, nums[j:j + m + 1],
+                                    map(mul, k_j[m::-1], scale))
+        cs.append(UniPoly._build(nums, den * factorial(m), "z"))
+    return TruncSeries(order, cs)

@@ -255,6 +255,35 @@ def test_multisum_power_matches_the_nfold_product():
             assert multisum_power(k, n) == multisum_power_nfold(k, n), (k, n)
 
 
+def test_multisum_power_outside_a_sweep_builds_rows_through_nu_only(
+        monkeypatch):
+    # compute multisum --k 1200 --nu 0 --n 1 --route power once built all
+    # 1,201 rows from 1,201 Eulerian polynomials to read row 0; the small
+    # points come first, so a power built past nu fails fast
+    import time
+    import bernkit.convolution as conv
+    tops = []
+    rows = conv.power_rows
+    monkeypatch.setattr(conv, "power_rows",
+                        lambda h, a, top: tops.append((len(h), top))
+                        or rows(h, a, top))
+    start = time.perf_counter()
+    for k, nu, n in [(3, 5, 2), (3, 7, 2), (40, 3, 5), (1200, 2, 3),
+                     (1200, 0, 1)]:
+        tops.clear()
+        expected = multisum_poly_multinomial(k, nu, n)
+        assert multisum_poly_power(k, nu, n) == expected, (k, nu, n)
+        top = min(nu, n * k)
+        assert tops == [(min(k, top) + 1, top)], (k, nu, n)
+    assert time.perf_counter() - start < 10
+    # inside a sweep the whole power is built once, for the eulerian route
+    tops.clear()
+    with per_run_memo():
+        assert multisum_poly_power(3, 2, 4) == multisum_poly(3, 2, 4)
+        assert multisum_poly_power(3, 5, 4) == multisum_poly(3, 5, 4)
+    assert tops == [(4, 12)]
+
+
 @pytest.mark.parametrize("n,k", [(n, 1) for n in range(1, 7)]
                          + [(1, k) for k in range(2, 7)]
                          + [(6, 5), (12, 6)])
@@ -759,6 +788,7 @@ def test_lemma5_reports_a_corrupted_power(monkeypatch):
     power = conv.multisum_power(2, 3)
     broken = list(power)
     broken[4] = broken[4] + UniPoly([0, 1], "y")
-    monkeypatch.setattr(conv, "multisum_power", lambda k, n: broken)
+    monkeypatch.setattr(conv, "multisum_power",
+                        lambda k, n, top=None: broken)
     witness = conv.verify_lemma5(2, 4, 3)
     assert witness.startswith("power vs multinomial differ")

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bernkit.polycore import UniPoly, factorial
+from bernkit.polycore import UniPoly, dot, factorial
 from bernkit.series import (TruncSeries, build_F_direct, build_F_eulerian,
                             x_over_expm1_pow)
-from bernkit.specialfns import bernoulli_number, bernoulli_poly
+from bernkit.specialfns import bernoulli_number, bernoulli_poly, eulerian_poly
 
 
 def const_series(values, order, var="z"):
@@ -167,6 +167,97 @@ def test_bernoulli_generating_function():
         assert factorial(m) * s.coefficient(m) == bernoulli_poly(m)
 
 
+def miller_x_over_expm1_pow(r, order):
+    # the reference: one Miller power of (e^x-1)/x at a = -r
+    return const_series([Fraction(1, factorial(m + 1))
+                         for m in range(order + 1)], order) ** -r
+
+
+def test_norlund_powers_match_the_miller_power():
+    shared = x_over_expm1_pow(1, 40)
+    for r in range(1, 9):
+        for order in range(31):
+            expected = miller_x_over_expm1_pow(r, order)
+            assert x_over_expm1_pow(r, order) == expected, (r, order)
+            # a longer inverse cut at x^order gives the same power
+            assert x_over_expm1_pow(r, order, shared) == expected, (r, order)
+    with pytest.raises(ValueError):
+        x_over_expm1_pow(2, 41, shared)
+    for r, order in [(0, 5), (1, -1)]:
+        with pytest.raises(ValueError):
+            x_over_expm1_pow(r, order)
+    with pytest.raises(ValueError):
+        build_F_eulerian(2, -1)
+
+
+def test_x_over_expm1_pow_inverts_once(monkeypatch):
+    import bernkit.series as series
+    calls = []
+    rows = series.power_rows
+    monkeypatch.setattr(series, "power_rows",
+                        lambda h, a, top: calls.append((a, top))
+                        or rows(h, a, top))
+    for r in (1, 2, 7):
+        x_over_expm1_pow(r, 20)
+    assert calls == [(-1, 20)] * 3
+    # a given inverse is cut, never rebuilt
+    x_over_expm1_pow(5, 12, x_over_expm1_pow(1, 30))
+    assert calls == [(-1, 20)] * 3 + [(-1, 30)]
+
+
+def build_F_eulerian_ladder(k, order):
+    # the reference: e^{zx} sum_i c_i(z) e^{ix} through the (z+i)^m ladder,
+    # c_i(z) = sum_j [y^i] (1-y)^j A_{k-j}(y) z^j / (j! (k-j)!), times the
+    # Miller power of x/(e^x-1), one series product
+    in_y = [UniPoly([1, -1], "y") ** j * eulerian_poly(k - j)
+            for j in range(k + 1)]
+    c = [UniPoly([Fraction(p.coefficient(i), factorial(j) * factorial(k - j))
+                  for j, p in enumerate(in_y)], "z")
+         for i in range(k + 1)]
+    shifts = [UniPoly([i, 1], "z") for i in range(k + 1)]
+    powers = [UniPoly.constant(1, "z")] * (k + 1)
+    at_exp = []
+    for m in range(order + 1):
+        weight = Fraction(1, factorial(m))
+        at_exp.append(dot(((c_i, p, weight) for c_i, p in zip(c, powers)),
+                          "z"))
+        powers = [p * s for p, s in zip(powers, shifts)]
+    return miller_x_over_expm1_pow(k + 1, order) * TruncSeries(order, at_exp)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_build_F_eulerian_matches_the_ladder_construction(k):
+    top = 6 * (k + 1)
+    shared = x_over_expm1_pow(1, top + 5)
+    for order in range(top + 1):
+        expected = build_F_eulerian_ladder(k, order)
+        assert build_F_eulerian(k, order) == expected, (k, order)
+        assert build_F_eulerian(k, order, shared) == expected, (k, order)
+
+
+def test_build_F_eulerian_reads_no_bernoulli_data(monkeypatch):
+    import bernkit.series as series
+    import bernkit.specialfns as sf
+    points = [(k, 6 * (k + 1)) for k in range(1, 5)]
+    expected = [build_F_direct(k, order) for k, order in points]
+
+    class Forbidden:
+        def __getattr__(self, name):
+            raise AssertionError("the Eulerian side read the Bernoulli cache")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Eulerian side read Bernoulli data")
+
+    for module, name in [(sf, "bernoulli_poly"), (sf, "bernoulli_number"),
+                         (series, "bernoulli_poly")]:
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(sf, "bernoulli_cache", Forbidden())
+    shared = x_over_expm1_pow(1, 40)
+    for (k, order), f in zip(points, expected):
+        assert build_F_eulerian(k, order) == f, k
+        assert build_F_eulerian(k, order, shared) == f, k
+
+
 def test_build_F_direct_k0_matches_bernoulli():
     f = build_F_direct(0, 6)
     for j in range(7):
@@ -239,6 +330,38 @@ def test_bernoulli_cache_check_outside_a_run_builds_per_call(monkeypatch):
     assert verify_bernoulli_cache(5) is None
     assert verify_bernoulli_cache(5) is None
     assert orders == [5, 5]
+
+
+def test_lemma4_and_the_cache_check_share_one_inverse_within_a_run(
+        monkeypatch):
+    import bernkit.convolution as conv
+    orders = _record_comparison_orders(monkeypatch)
+    given = []
+    build = conv.build_F_eulerian
+    monkeypatch.setattr(conv, "build_F_eulerian",
+                        lambda k, order, inverse: given.append(inverse)
+                        or build(k, order, inverse))
+    with conv.per_run_memo():
+        for k in (1, 2, 3):
+            assert conv.verify_lemma4(k, 6 * (k + 1)) is None
+        built = list(orders)
+        for m in range(25):
+            assert conv.verify_bernoulli_cache(m) is None
+        shared = conv._run_memo.get()["x/(e^x-1)"]
+    # built at most once for k = 1 and once more for k = 3, each time to
+    # the top published cache entry or further; the cache check reuses it
+    assert 1 <= len(built) <= 2 and built == sorted(set(built))
+    assert built[-1] >= 24 and orders == built
+    assert given[-1] is shared
+    assert all(s.order >= 6 * (k + 1) for k, s in enumerate(given, 1))
+
+
+def test_lemma4_outside_a_run_builds_its_inverse_per_call(monkeypatch):
+    from bernkit.convolution import verify_lemma4
+    orders = _record_comparison_orders(monkeypatch)
+    assert verify_lemma4(1, 12) is None
+    assert verify_lemma4(1, 12) is None
+    assert orders == [12, 12]
 
 
 def _record_comparison_orders(monkeypatch):

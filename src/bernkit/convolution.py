@@ -31,9 +31,8 @@ from .polycore import (UniPoly, binomial, dot, factorial, falling_product,
                        interpolate, multinomial, power_rows)
 from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
                          eulerian_poly)
-from .series import (TruncSeries, _exp_zx_read_off, _x_over_expm1_nums,
-                     build_F_direct, build_F_eulerian, higher_bernoulli_poly,
-                     x_over_expm1_pow)
+from .series import (_exp_zx_read_off, _x_over_expm1_nums, build_F_direct,
+                     build_F_eulerian, higher_bernoulli_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +263,9 @@ def per_run_memo():
       route at n = n'+1 and by lemma 5's power computation;
     - ("multisum factor", k, t, m): (C(k,t) A_t(y))^m, the factors of
       multisum_poly_multinomial;
-    - "x/(e^x-1)": x/(e^x-1), through the largest order asked for so far,
-      shared by lemma 4's Eulerian side and verify_bernoulli_cache
-      (_x_over_expm1_per_run).
+    - "x/(e^x-1)": x/(e^x-1) through the largest order asked for so far,
+      as integer numerators over one denominator, shared by lemma 4's
+      Eulerian side and verify_bernoulli_cache (_x_over_expm1_per_run).
 
     `run_suite` opens one per call, so nothing outlives a sweep and a fault
     injected into a family cache between sweeps is seen by the next one."""
@@ -1019,19 +1018,20 @@ def verify_bernoulli_cache(m: int) -> str | None:
     return None
 
 
-def _x_over_expm1_per_run(order: int) -> TruncSeries:
-    # x/(e^x-1) through x^order or further.  Outside a sweep each call
-    # inverts (e^x-1)/x anew.  Inside one, lemma 4 and the Bernoulli cache
-    # check share one series, built to the larger of order and the top
-    # published cache entry (the cache's length, never its values) and
-    # rebuilt only for an order beyond that; a longer series cut at
-    # x^order is the same series.
+def _x_over_expm1_per_run(order: int) -> tuple[list[int], int] | None:
+    # x/(e^x-1) through x^order or further, as integer numerators over one
+    # denominator (series._x_over_expm1_nums), or None outside a sweep,
+    # where each call inverts (e^x-1)/x anew.  Inside one, lemma 4 and the
+    # Bernoulli cache check share one series, built to the larger of order
+    # and the top published cache entry (the cache's length, never its
+    # values) and rebuilt only for an order beyond that; a longer series
+    # cut at x^order is the same series.
     memo = _run_memo.get()
     if memo is None:
-        return x_over_expm1_pow(1, order)
+        return None
     inverse = memo.get("x/(e^x-1)")
-    if inverse is None or inverse.order < order:
-        inverse = memo["x/(e^x-1)"] = x_over_expm1_pow(
+    if inverse is None or len(inverse[0]) <= order:
+        inverse = memo["x/(e^x-1)"] = _x_over_expm1_nums(
             1, max(order, len(specialfns.bernoulli_cache.polys) - 1))
     return inverse
 

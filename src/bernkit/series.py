@@ -80,15 +80,12 @@ class TruncSeries:
             self.order, power_rows(self.coeffs, a, self.order), self.var)
 
 
-def x_over_expm1_pow(r: int, order: int,
-                     inverse: TruncSeries | None = None) -> TruncSeries:
+def x_over_expm1_pow(r: int, order: int) -> TruncSeries:
     """(x/(e^x - 1))^r through x^order.
 
     x/(e^x-1) is the inverse of (e^x-1)/x, one polycore.power_rows call at
-    a = -1, unless `inverse`, x/(e^x-1) through x^order or further, is
-    given; Miller's rows do not depend on where they are cut, so a longer
-    inverse cut at x^order is the same series.  Each higher power is one
-    step of Norlund's recurrence for B^{(s)}_m = m! [x^m] (x/(e^x-1))^s,
+    a = -1.  Each higher power is one step of Norlund's recurrence for
+    B^{(s)}_m = m! [x^m] (x/(e^x-1))^s,
 
         B^{(s+1)}_m = (1 - m/s) B^{(s)}_m - m B^{(s)}_{m-1},
 
@@ -99,28 +96,31 @@ def x_over_expm1_pow(r: int, order: int,
     r * order integer operations and the inverse order^2/2 terms, so a
     power far above its order costs more than one Miller power at a = -r
     would."""
-    nums, den = _x_over_expm1_nums(r, order, inverse)
+    nums, den = _x_over_expm1_nums(r, order)
     return TruncSeries(order, [UniPoly._build([b], den, "z") for b in nums])
 
 
 def _x_over_expm1_nums(r: int, order: int,
-                       inverse: TruncSeries | None = None
+                       inverse: tuple[list[int], int] | None = None
                        ) -> tuple[list[int], int]:
-    # x_over_expm1_pow(r, order, inverse) as the integer numerators of its
-    # coefficients over one denominator, for the callers that read it so
+    # x_over_expm1_pow(r, order) as the integer numerators of its
+    # coefficients over one denominator, for the callers that read it so.
+    # `inverse`, when given, is x/(e^x-1) in that form through x^order or
+    # further, and is cut instead of rebuilt: Miller's rows do not depend
+    # on where they are cut, and the steps work over any common denominator
     if r < 1 or order < 0:
         raise ValueError("need r >= 1 and order >= 0")
     if inverse is None:
         coeffs = power_rows(
             [UniPoly.constant(Fraction(1, factorial(m + 1)), "z")
              for m in range(order + 1)], -1, order)
-    elif inverse.order < order:
-        raise ValueError(f"the inverse stops at x^{inverse.order}, "
+        den = math.lcm(*[c.den for c in coeffs])
+        nums = [c.nums[0] * (den // c.den) if c.nums else 0 for c in coeffs]
+    elif len(inverse[0]) <= order:
+        raise ValueError(f"the inverse stops at x^{len(inverse[0]) - 1}, "
                          f"below x^{order}")
     else:
-        coeffs = inverse.coeffs[:order + 1]
-    den = math.lcm(*[c.den for c in coeffs])
-    nums = [c.nums[0] * (den // c.den) if c.nums else 0 for c in coeffs]
+        nums, den = inverse[0][:order + 1], inverse[1]
     for s in range(1, r):
         nums = [(s - m) * b - s * before
                 for m, (b, before) in enumerate(zip(nums, [0] + nums))]
@@ -164,7 +164,8 @@ def build_F_direct(k: int, order: int) -> TruncSeries:
 
 
 def build_F_eulerian(k: int, order: int,
-                     inverse: TruncSeries | None = None) -> TruncSeries:
+                     inverse: tuple[list[int], int] | None = None
+                     ) -> TruncSeries:
     """F_k(x,z) rebuilt from Eulerian polynomials:
 
     (x/(e^x-1))^{k+1} e^{xz} sum_{j=0}^{k} (1-e^x)^j A_{k-j}(e^x)/(k-j)! * z^j/j!
@@ -178,7 +179,8 @@ def build_F_eulerian(k: int, order: int,
     denominator shared by every j, and the z^d coefficient of [x^m] F is
     sum_j [x^{m-d+j}] K_j / (d-j)!.  (x/(e^x-1))^{k+1} is read as
     x_over_expm1_pow's numerators, from `inverse` when given: x/(e^x-1)
-    through x^order or further.  Nothing here reads Bernoulli data.
+    through x^order or further as integer numerators over one denominator
+    (_x_over_expm1_nums).  Nothing here reads Bernoulli data.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is covered by the "

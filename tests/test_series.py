@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from bernkit.polycore import UniPoly, dot, factorial
-from bernkit.series import (TruncSeries, build_F_direct, build_F_eulerian,
-                            x_over_expm1_pow)
+from bernkit.series import (TruncSeries, _x_over_expm1_nums, build_F_direct,
+                            build_F_eulerian, x_over_expm1_pow)
 from bernkit.specialfns import bernoulli_number, bernoulli_poly, eulerian_poly
 
 
@@ -174,15 +174,17 @@ def miller_x_over_expm1_pow(r, order):
 
 
 def test_norlund_powers_match_the_miller_power():
-    shared = x_over_expm1_pow(1, 40)
+    shared = _x_over_expm1_nums(1, 40)
     for r in range(1, 9):
         for order in range(31):
             expected = miller_x_over_expm1_pow(r, order)
             assert x_over_expm1_pow(r, order) == expected, (r, order)
             # a longer inverse cut at x^order gives the same power
-            assert x_over_expm1_pow(r, order, shared) == expected, (r, order)
+            nums, den = _x_over_expm1_nums(r, order, shared)
+            assert const_series([Fraction(b, den) for b in nums],
+                                order) == expected, (r, order)
     with pytest.raises(ValueError):
-        x_over_expm1_pow(2, 41, shared)
+        _x_over_expm1_nums(2, 41, shared)
     for r, order in [(0, 5), (1, -1)]:
         with pytest.raises(ValueError):
             x_over_expm1_pow(r, order)
@@ -201,7 +203,7 @@ def test_x_over_expm1_pow_inverts_once(monkeypatch):
         x_over_expm1_pow(r, 20)
     assert calls == [(-1, 20)] * 3
     # a given inverse is cut, never rebuilt
-    x_over_expm1_pow(5, 12, x_over_expm1_pow(1, 30))
+    _x_over_expm1_nums(5, 12, _x_over_expm1_nums(1, 30))
     assert calls == [(-1, 20)] * 3 + [(-1, 30)]
 
 
@@ -228,7 +230,7 @@ def build_F_eulerian_ladder(k, order):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_build_F_eulerian_matches_the_ladder_construction(k):
     top = 6 * (k + 1)
-    shared = x_over_expm1_pow(1, top + 5)
+    shared = _x_over_expm1_nums(1, top + 5)
     for order in range(top + 1):
         expected = build_F_eulerian_ladder(k, order)
         assert build_F_eulerian(k, order) == expected, (k, order)
@@ -252,7 +254,7 @@ def test_build_F_eulerian_reads_no_bernoulli_data(monkeypatch):
                          (series, "bernoulli_poly")]:
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(sf, "bernoulli_cache", Forbidden())
-    shared = x_over_expm1_pow(1, 40)
+    shared = _x_over_expm1_nums(1, 40)
     for (k, order), f in zip(points, expected):
         assert build_F_eulerian(k, order) == f, k
         assert build_F_eulerian(k, order, shared) == f, k
@@ -353,7 +355,7 @@ def test_lemma4_and_the_cache_check_share_one_inverse_within_a_run(
     assert 1 <= len(built) <= 2 and built == sorted(set(built))
     assert built[-1] >= 24 and orders == built
     assert given[-1] is shared
-    assert all(s.order >= 6 * (k + 1) for k, s in enumerate(given, 1))
+    assert all(len(s[0]) > 6 * (k + 1) for k, s in enumerate(given, 1))
 
 
 def test_lemma4_outside_a_run_builds_its_inverse_per_call(monkeypatch):
@@ -365,12 +367,16 @@ def test_lemma4_outside_a_run_builds_its_inverse_per_call(monkeypatch):
 
 
 def _record_comparison_orders(monkeypatch):
-    # the orders to which the Bernoulli cache check builds x/(e^x-1), in
-    # call order, read at the binding the check calls
-    import bernkit.convolution as conv
+    # the orders to which x/(e^x-1) is built by inversion, in call order:
+    # the tops of the series module's power_rows calls at a = -1
+    import bernkit.series as series
     orders = []
-    build = conv.x_over_expm1_pow
-    monkeypatch.setattr(conv, "x_over_expm1_pow",
-                        lambda r, order: orders.append(order)
-                        or build(r, order))
+    rows = series.power_rows
+
+    def recording(h, a, top):
+        if a == -1:
+            orders.append(top)
+        return rows(h, a, top)
+
+    monkeypatch.setattr(series, "power_rows", recording)
     return orders

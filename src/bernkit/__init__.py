@@ -6,7 +6,7 @@ every other name is imported from its module."""
 from .polycore import UniPoly
 from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
                          eulerian_poly)
-from .series import TruncSeries, higher_bernoulli_poly
+from .series import higher_bernoulli_poly
 from .convolution import (VerificationReport, coeff_z_thm8, degree_check,
                           p_poly, run_suite, s_direct, s_eulerian, s_poly,
                           s_series, verify_bernoulli_cache, verify_cor9,

@@ -176,7 +176,7 @@ def _print_u_nu(obj, params, value, fmt):
 
 def _f_coefficient(route: str, k: int, m: int) -> UniPoly:
     builder = build_F_direct if route == "direct" else build_F_eulerian
-    return builder(k, m).coefficient(m)
+    return builder(k, m)[m]
 
 
 def _a_jkn_row(single, row, k: int, n: int, j: int | None) -> list[int]:

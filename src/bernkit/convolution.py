@@ -165,8 +165,8 @@ def s_series(n: int, k: int) -> UniPoly:
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     order = (k + 1) * (n + 1) - 1
-    power = build_F_direct(k, order) ** (n + 1)
-    return factorial(k) ** n * power.coefficient(order)
+    power = power_rows(build_F_direct(k, order), n + 1, order)
+    return factorial(k) ** n * power[order]
 
 
 def s_eulerian(n: int, k: int) -> UniPoly:
@@ -862,10 +862,9 @@ def verify_lemma4(k: int, order: int) -> str | None:
     built by inversion, never from Bernoulli data."""
     direct = build_F_direct(k, order)
     eulerian = build_F_eulerian(k, order, _x_over_expm1_per_run(order))
-    for m in range(order + 1):
-        if direct.coefficient(m) != eulerian.coefficient(m):
-            return (f"coefficient of x^{m} differs: "
-                    f"{eulerian.coefficient(m) - direct.coefficient(m)!r}")
+    for m, (d, e) in enumerate(zip(direct, eulerian)):
+        if d != e:
+            return f"coefficient of x^{m} differs: {e - d!r}"
     return None
 
 

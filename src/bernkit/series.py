@@ -1,87 +1,34 @@
-"""Truncated formal power series in x with polynomial coefficients.
+"""Formal power series in x with polynomial coefficients, cut at x^N.
 
-The ring is Q[z][[x]] cut at a fixed order N, held as a list of UniPoly
-coefficients (index = power of x).  The routes need only exact products and
-powers, so those are the operations a series has; a product of series of
-different orders is truncated to the smaller order.  Every series the
-routes raise to a power has constant term 1, so a power, negative or not,
-needs a nonzero constant term (a unit of Q[z]).  Builders for the
-generating functions used downstream live here as well: (x/(e^x-1))^r, the
-higher-order Bernoulli polynomials read off it, and the two constructions
-of the auxiliary series F_k(x, z).  (x/(e^x-1))^r is one inverse by
-power_rows and r-1 of Norlund's steps; it and the Eulerian construction of
-F_k work on series with constant coefficients as integer numerators over
-one denominator, so a scalar costs an int operation, not a polynomial
-one.  The named families they read come from specialfns, which imports
-nothing but the base ring.
+A series of Q[z][[x]] is a plain list of its N+1 UniPoly coefficients
+(index = power of x).  The routes need one operation on such a series,
+a power of F_k, and polycore.power_rows (J.C.P. Miller's recurrence) is
+it; so this module holds builders only: (x/(e^x-1))^r, the higher-order
+Bernoulli polynomials read off it, and the two constructions of the
+auxiliary series F_k(x, z), each a list of exactly order + 1
+coefficients.  (x/(e^x-1))^r is one inverse by power_rows and r-1 of
+Norlund's steps; it and the Eulerian construction of F_k work on series
+with constant coefficients as integer numerators over one denominator, so
+a scalar costs an int operation, not a polynomial one.  The named
+families they read come from specialfns, which imports nothing but the
+base ring.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from fractions import Fraction
 from operator import add, mul
 
-from .polycore import (UniPoly, _mul_add, binomial, dot, factorial,
-                       power_rows)
+from .polycore import UniPoly, _mul_add, binomial, factorial, power_rows
 from .specialfns import bernoulli_poly, eulerian_poly
 
 
-class TruncSeries:
-    """Power series through x**order with UniPoly coefficients."""
-
-    __slots__ = ("order", "coeffs", "var")
-
-    def __init__(self, order: int, coeffs: Iterable[UniPoly] = (),
-                 var: str = "z"):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        cs = list(coeffs)[:order + 1]
-        if cs:
-            var = cs[0].var
-        cs += [UniPoly((), var)] * (order + 1 - len(cs))
-        self.order = order
-        self.coeffs = tuple(cs)
-        self.var = var
-
-    @classmethod
-    def one(cls, order: int, var: str = "z") -> "TruncSeries":
-        return cls(order, [UniPoly.constant(1, var)], var)
-
-    def coefficient(self, m: int) -> UniPoly:
-        if not 0 <= m <= self.order:
-            raise ValueError(
-                f"coefficient index {m} beyond truncation order {self.order}")
-        return self.coeffs[m]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TruncSeries):
-            return self.order == other.order and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncSeries(
-            n, [dot(((a[i], b[m - i], 1) for i in range(m + 1)), self.var)
-                for m in range(n + 1)], self.var)
-
-    def __pow__(self, a: int) -> "TruncSeries":
-        """self**a for any integer a by J.C.P. Miller's recurrence,
-        polycore.power_rows; the constant coefficient must be a nonzero
-        constant, a unit of Q[z] (ValueError otherwise)."""
-        return TruncSeries(
-            self.order, power_rows(self.coeffs, a, self.order), self.var)
-
-
-def x_over_expm1_pow(r: int, order: int) -> TruncSeries:
-    """(x/(e^x - 1))^r through x^order.
+def _x_over_expm1_nums(r: int, order: int,
+                       inverse: tuple[list[int], int] | None = None
+                       ) -> tuple[list[int], int]:
+    """(x/(e^x - 1))^r through x^order, as the integer numerators of its
+    coefficients over one denominator.
 
     x/(e^x-1) is the inverse of (e^x-1)/x, one polycore.power_rows call at
     a = -1.  Each higher power is one step of Norlund's recurrence for
@@ -90,24 +37,15 @@ def x_over_expm1_pow(r: int, order: int) -> TruncSeries:
         B^{(s+1)}_m = (1 - m/s) B^{(s)}_m - m B^{(s)}_{m-1},
 
     which on the coefficients b_m = B^{(s)}_m / m! reads
-    s b'_m = (s - m) b_m - s b_{m-1}, run on integer numerators over one
-    denominator that gains the factor s (_x_over_expm1_nums); each
-    coefficient is reduced once, at the end.  The steps cost about
-    r * order integer operations and the inverse order^2/2 terms, so a
-    power far above its order costs more than one Miller power at a = -r
-    would."""
-    nums, den = _x_over_expm1_nums(r, order)
-    return TruncSeries(order, [UniPoly._build([b], den, "z") for b in nums])
+    s b'_m = (s - m) b_m - s b_{m-1}, run on the numerators over a
+    denominator that gains the factor s.  The steps cost about r * order
+    integer operations and the inverse order^2/2 terms, so a power far
+    above its order costs more than one Miller power at a = -r would.
 
-
-def _x_over_expm1_nums(r: int, order: int,
-                       inverse: tuple[list[int], int] | None = None
-                       ) -> tuple[list[int], int]:
-    # x_over_expm1_pow(r, order) as the integer numerators of its
-    # coefficients over one denominator, for the callers that read it so.
-    # `inverse`, when given, is x/(e^x-1) in that form through x^order or
-    # further, and is cut instead of rebuilt: Miller's rows do not depend
-    # on where they are cut, and the steps work over any common denominator
+    `inverse`, when given, is x/(e^x-1) in that form through x^order or
+    further, and is cut instead of rebuilt: Miller's rows do not depend
+    on where they are cut, and the steps work over any common denominator.
+    """
     if r < 1 or order < 0:
         raise ValueError("need r >= 1 and order >= 0")
     if inverse is None:
@@ -148,25 +86,25 @@ def _exp_zx_read_off(xs: list[int], den: int) -> UniPoly:
     return UniPoly._build(nums, den, "z")
 
 
-def build_F_direct(k: int, order: int) -> TruncSeries:
-    """F_k(x,z) from its defining coefficients:
+def build_F_direct(k: int, order: int) -> list[UniPoly]:
+    """F_k(x,z) through x^order from its defining coefficients:
 
     1 + (-1)^k (x^{k+1}/k!) sum_{m>=0} B_{m+k+1}(z)/(m+k+1) * x^m/m!
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if k < 0 or order < 0:
+        raise ValueError("need k >= 0 and order >= 0")
     sign = (-1) ** k
     cs = [UniPoly.constant(1, "z")] + [UniPoly((), "z")] * k
     for m in range(order - k):
         cs.append(bernoulli_poly(m + k + 1)
                   * Fraction(sign, factorial(k) * factorial(m) * (m + k + 1)))
-    return TruncSeries(order, cs)
+    return cs[:order + 1]
 
 
 def build_F_eulerian(k: int, order: int,
                      inverse: tuple[list[int], int] | None = None
-                     ) -> TruncSeries:
-    """F_k(x,z) rebuilt from Eulerian polynomials:
+                     ) -> list[UniPoly]:
+    """F_k(x,z) through x^order rebuilt from Eulerian polynomials:
 
     (x/(e^x-1))^{k+1} e^{xz} sum_{j=0}^{k} (1-e^x)^j A_{k-j}(e^x)/(k-j)! * z^j/j!
 
@@ -177,10 +115,10 @@ def build_F_eulerian(k: int, order: int,
     Both factors of K_j have constant coefficients, so each K_j is one
     product of integer numerator lists (polycore._mul_add) over one
     denominator shared by every j, and the z^d coefficient of [x^m] F is
-    sum_j [x^{m-d+j}] K_j / (d-j)!.  (x/(e^x-1))^{k+1} is read as
-    x_over_expm1_pow's numerators, from `inverse` when given: x/(e^x-1)
-    through x^order or further as integer numerators over one denominator
-    (_x_over_expm1_nums).  Nothing here reads Bernoulli data.
+    sum_j [x^{m-d+j}] K_j / (d-j)!.  (x/(e^x-1))^{k+1} comes from
+    _x_over_expm1_nums, which cuts `inverse` when given: x/(e^x-1) through
+    x^order or further in the same form.  Nothing here reads Bernoulli
+    data.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is covered by the "
@@ -210,4 +148,4 @@ def build_F_eulerian(k: int, order: int,
             nums[j:j + m + 1] = map(add, nums[j:j + m + 1],
                                     map(mul, k_j[m::-1], scale))
         cs.append(UniPoly._build(nums, den * factorial(m), "z"))
-    return TruncSeries(order, cs)
+    return cs

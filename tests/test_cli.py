@@ -136,6 +136,14 @@ def test_compute_f_coeff(capsys):
     assert code == 0
     assert doc["agreement"] is True
     assert poly_from_document(doc) == Fraction(-1, 2) * bernoulli_poly(2)
+    # m = 2 <= k = 5: both constructions are cut at x^2, where F_5 is 0
+    code, out = run(
+        ["compute", "F-coeff", "--k", "5", "--m", "2", "--route", "all"],
+        capsys)
+    assert code == 0
+    assert out.splitlines() == ["F-coeff k=5 m=2 [direct]: 0",
+                                "F-coeff k=5 m=2 [eulerian]: 0",
+                                "agreement: True"]
 
 
 def test_compute_d_coeffs(capsys):

@@ -332,6 +332,31 @@ def test_eulerian_route_reads_no_enumeration_or_bernoulli_data(monkeypatch):
     assert d == expected_d + (0,) * (len(d) - len(expected_d))
 
 
+def test_series_route_reads_no_eulerian_or_enumeration_data(monkeypatch):
+    # the series route powers the direct F_k: it reads Bernoulli data only,
+    # and none of the Eulerian construction, the bivariate power, the
+    # composition walks or the other two routes
+    import bernkit.convolution as conv
+    import bernkit.series as series
+    import bernkit.specialfns as sf
+    points = [(4, 3), (3, 0)]
+    expected = [s_series(n, k) for n, k in points]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the series route read a forbidden source")
+
+    names = ("eulerian_poly", "eulerian_number", "build_F_eulerian",
+             "multisum_power", "_walk", "_point_walk", "s_direct",
+             "s_eulerian")
+    bound = [(module, name) for module in (conv, series, sf)
+             for name in names if hasattr(module, name)]
+    assert {name for _, name in bound} == set(names)
+    for module, name in bound:
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(sf.EulerianCache, "ensure", forbidden)
+    assert [s_series(n, k) for n, k in points] == expected
+
+
 def test_lemma5_closed_coeffs():
     assert lemma5_coeffs(2, 2, 3)[2] == binomial(6, 2) == 15
     for k in range(1, 5):

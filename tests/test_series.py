@@ -3,42 +3,52 @@ from fractions import Fraction
 
 import pytest
 
-from bernkit.polycore import UniPoly, dot, factorial
-from bernkit.series import (TruncSeries, _x_over_expm1_nums, build_F_direct,
-                            build_F_eulerian, x_over_expm1_pow)
+from bernkit.polycore import UniPoly, dot, factorial, power_rows
+from bernkit.series import _x_over_expm1_nums, build_F_direct, build_F_eulerian
 from bernkit.specialfns import bernoulli_number, bernoulli_poly, eulerian_poly
 
 
-def const_series(values, order, var="z"):
-    return TruncSeries(order, [UniPoly.constant(v, var) for v in values], var)
+def as_series(values, order, var="z"):
+    # a series through x^order as a list of order + 1 UniPoly coefficients:
+    # values cut there and padded with zeros, scalars made constants
+    cs = [c if isinstance(c, UniPoly) else UniPoly.constant(c, var)
+          for c in values][:order + 1]
+    return cs + [UniPoly((), var)] * (order + 1 - len(cs))
+
+
+def one(order):
+    return as_series([1], order)
+
+
+def series_mul(a, b):
+    # the truncated product through the shorter order, one dot per
+    # coefficient: the reference that power_rows and the builders are
+    # checked against
+    var = a[0].var
+    return [dot(((a[i], b[m - i], 1) for i in range(m + 1)), var)
+            for m in range(min(len(a), len(b)))]
 
 
 def exp_zx(order):
     # e^{zx}: the coefficient of x^m is z^m/m!
-    return TruncSeries(order, [UniPoly.monomial(Fraction(1, factorial(m)), m)
-                               for m in range(order + 1)])
+    return [UniPoly.monomial(Fraction(1, factorial(m)), m)
+            for m in range(order + 1)]
+
+
+def x_over_expm1(r, order, inverse=None):
+    # (x/(e^x-1))^r through x^order as a series of constants
+    nums, den = _x_over_expm1_nums(r, order, inverse)
+    return as_series([Fraction(b, den) for b in nums], order)
 
 
 # 1 - e^x through x^4: a zero constant term, so no inverse
-ONE_MINUS_EXP_X = const_series(
+ONE_MINUS_EXP_X = as_series(
     [0] + [Fraction(-1, factorial(m)) for m in range(1, 5)], 4)
 
 
-def test_mul_basic():
-    a = const_series([1, 1], 3)
-    b = const_series([1, -1], 3)
-    assert a * b == const_series([1, 0, -1, 0], 3)
-    # series by series only: no scalar or polynomial operand
-    for other in (2, Fraction(1, 2), UniPoly([1, 1])):
-        with pytest.raises(TypeError):
-            a * other
-        with pytest.raises(TypeError):
-            other * a
-
-
 def test_pow_zero_is_identity():
-    a = const_series([1, 5, 7], 4)
-    assert a ** 0 == TruncSeries.one(4)
+    a = as_series([1, 5, 7], 4)
+    assert power_rows(a, 0, 4) == one(4)
 
 
 def test_pow_matches_repeated_mul():
@@ -48,11 +58,11 @@ def test_pow_matches_repeated_mul():
                       rng.randint(1, 4))
         rest = [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
                 for _ in range(6)]
-        a = const_series([h0] + rest, 6)
-        acc = TruncSeries.one(6)
+        a = as_series([h0] + rest, 6)
+        acc = one(6)
         for n in range(5):
-            assert a ** n == acc
-            acc = acc * a
+            assert power_rows(a, n, 6) == acc
+            acc = series_mul(acc, a)
 
 
 def test_pow_with_polynomial_coefficients_matches_repeated_mul():
@@ -60,12 +70,11 @@ def test_pow_with_polynomial_coefficients_matches_repeated_mul():
     # unit H_0, and coefficients of positive degree
     values = [1, z, 3 * z - 2, 0, z * z]
     for order in (0, 3, 7):
-        a = TruncSeries(order, [c if isinstance(c, UniPoly)
-                                else UniPoly.constant(c) for c in values])
-        acc = TruncSeries.one(order)
+        a = as_series(values, order)
+        acc = one(order)
         for n in range(7):
-            assert a ** n == acc, (order, n)
-            acc = acc * a
+            assert power_rows(a, n, order) == acc, (order, n)
+            acc = series_mul(acc, a)
 
 
 @pytest.mark.parametrize("a", [-2, 0, 1, 3])
@@ -83,116 +92,98 @@ def test_pow_refuses_a_constant_term_that_is_not_a_unit(a):
     ]
     for values in cases:
         for order in (0, 3, 7):
-            bad = TruncSeries(order, [c if isinstance(c, UniPoly)
-                                      else UniPoly.constant(c)
-                                      for c in values])
             with pytest.raises(ValueError):
-                bad ** a
+                power_rows(as_series(values, order), a, order)
     with pytest.raises(ValueError):
-        ONE_MINUS_EXP_X ** a
+        power_rows(ONE_MINUS_EXP_X, a, 4)
 
 
 def test_negative_pow_is_power_of_inverse():
-    a = TruncSeries(8, [UniPoly.constant(Fraction(-2, 3)), UniPoly([1, 2]),
-                        UniPoly.constant(0), UniPoly([0, 0, 1])])
-    inv = a ** -1
-    assert a * inv == TruncSeries.one(8)
-    acc = TruncSeries.one(8)
+    a = as_series([Fraction(-2, 3), UniPoly([1, 2]), 0, UniPoly([0, 0, 1])],
+                  8)
+    inv = power_rows(a, -1, 8)
+    assert series_mul(a, inv) == one(8)
+    acc = one(8)
     for n in range(5):
-        assert a ** -n == acc
-        acc = acc * inv
-    for bad in (ONE_MINUS_EXP_X, TruncSeries(3, [UniPoly([1, 1])]),
-                TruncSeries(3, ())):
+        assert power_rows(a, -n, 8) == acc
+        acc = series_mul(acc, inv)
+    for bad in (ONE_MINUS_EXP_X, as_series([UniPoly([1, 1])], 3),
+                as_series([], 3)):
         with pytest.raises(ValueError):
-            bad ** -2
+            power_rows(bad, -2, len(bad) - 1)
 
 
 def test_pow_with_negative_constant_term():
     # H_0 = -2: the scalar division by m H_0 moves the sign to the
     # numerators, and every coefficient keeps a positive denominator
     order = 9
-    a = TruncSeries(order, [UniPoly.constant(-2), UniPoly.constant(1)])
-    inv = a ** -1
+    a = as_series([-2, 1], order)
+    inv = power_rows(a, -1, order)
     # 1/(x - 2) = -sum_m x^m / 2^{m+1}
-    assert inv == const_series(
+    assert inv == as_series(
         [Fraction(-1, 2 ** (m + 1)) for m in range(order + 1)], order)
-    acc, acc_inv = TruncSeries.one(order), TruncSeries.one(order)
+    acc, acc_inv = one(order), one(order)
     for n in range(1, 5):
-        acc, acc_inv = acc * a, acc_inv * inv
-        assert a ** n == acc, n
-        assert a ** -n == acc_inv, n
-        assert a ** n * a ** -n == TruncSeries.one(order), n
-        for c in (a ** n).coeffs + (a ** -n).coeffs:
+        acc, acc_inv = series_mul(acc, a), series_mul(acc_inv, inv)
+        power, power_inv = power_rows(a, n, order), power_rows(a, -n, order)
+        assert power == acc, n
+        assert power_inv == acc_inv, n
+        assert series_mul(power, power_inv) == one(order), n
+        for c in power + power_inv:
             assert c.den > 0
 
 
-def test_mul_commutes_and_associates():
-    rng = random.Random(11)
-    for _ in range(10):
-        a, b, c = (const_series([rng.randint(-5, 5) for _ in range(6)], 5)
-                   for _ in range(3))
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-
-
-def test_orders_truncate_to_smaller():
-    a = const_series([1, 1, 1, 1, 1], 4)
-    b = const_series([1, 2], 2)
-    assert (a * b).order == 2
-
-
 def test_inverse_roundtrip_and_bernoulli_numbers():
-    s = x_over_expm1_pow(1, 10)
+    s = x_over_expm1(1, 10)
     for m in range(11):
-        coeff = s.coefficient(m)
-        assert coeff == UniPoly.constant(
+        assert s[m] == UniPoly.constant(
             bernoulli_number(m) * Fraction(1, factorial(m)), "z")
     # A * A^{-1} == 1
-    expm1_over_x = const_series(
+    expm1_over_x = as_series(
         [Fraction(1, factorial(m + 1)) for m in range(11)], 10)
-    assert expm1_over_x * expm1_over_x ** -1 == TruncSeries.one(10)
+    inverse = power_rows(expm1_over_x, -1, 10)
+    assert series_mul(expm1_over_x, inverse) == one(10)
 
 
 def test_inverse_requires_unit():
     with pytest.raises(ValueError):
-        ONE_MINUS_EXP_X ** -1
+        power_rows(ONE_MINUS_EXP_X, -1, 4)
     with pytest.raises(ValueError):
-        TruncSeries(3, [UniPoly([0, 1], "z")]) ** -1
+        power_rows(as_series([UniPoly([0, 1], "z")], 3), -1, 3)
 
 
 def test_bernoulli_generating_function():
     # (x/(e^x-1)) e^{zx} has coefficients B_m(z)/m!
-    s = x_over_expm1_pow(1, 8) * exp_zx(8)
+    s = series_mul(x_over_expm1(1, 8), exp_zx(8))
     for m in range(9):
-        assert factorial(m) * s.coefficient(m) == bernoulli_poly(m)
+        assert factorial(m) * s[m] == bernoulli_poly(m)
 
 
-def miller_x_over_expm1_pow(r, order):
+def miller_x_over_expm1(r, order):
     # the reference: one Miller power of (e^x-1)/x at a = -r
-    return const_series([Fraction(1, factorial(m + 1))
-                         for m in range(order + 1)], order) ** -r
+    expm1_over_x = as_series([Fraction(1, factorial(m + 1))
+                              for m in range(order + 1)], order)
+    return power_rows(expm1_over_x, -r, order)
 
 
 def test_norlund_powers_match_the_miller_power():
     shared = _x_over_expm1_nums(1, 40)
     for r in range(1, 9):
         for order in range(31):
-            expected = miller_x_over_expm1_pow(r, order)
-            assert x_over_expm1_pow(r, order) == expected, (r, order)
+            expected = miller_x_over_expm1(r, order)
+            assert x_over_expm1(r, order) == expected, (r, order)
             # a longer inverse cut at x^order gives the same power
-            nums, den = _x_over_expm1_nums(r, order, shared)
-            assert const_series([Fraction(b, den) for b in nums],
-                                order) == expected, (r, order)
+            assert x_over_expm1(r, order, shared) == expected, (r, order)
     with pytest.raises(ValueError):
         _x_over_expm1_nums(2, 41, shared)
     for r, order in [(0, 5), (1, -1)]:
         with pytest.raises(ValueError):
-            x_over_expm1_pow(r, order)
+            _x_over_expm1_nums(r, order)
     with pytest.raises(ValueError):
         build_F_eulerian(2, -1)
 
 
-def test_x_over_expm1_pow_inverts_once(monkeypatch):
+def test_x_over_expm1_nums_inverts_once(monkeypatch):
     import bernkit.series as series
     calls = []
     rows = series.power_rows
@@ -200,7 +191,7 @@ def test_x_over_expm1_pow_inverts_once(monkeypatch):
                         lambda h, a, top: calls.append((a, top))
                         or rows(h, a, top))
     for r in (1, 2, 7):
-        x_over_expm1_pow(r, 20)
+        _x_over_expm1_nums(r, 20)
     assert calls == [(-1, 20)] * 3
     # a given inverse is cut, never rebuilt
     _x_over_expm1_nums(5, 12, _x_over_expm1_nums(1, 30))
@@ -224,7 +215,7 @@ def build_F_eulerian_ladder(k, order):
         at_exp.append(dot(((c_i, p, weight) for c_i, p in zip(c, powers)),
                           "z"))
         powers = [p * s for p, s in zip(powers, shifts)]
-    return miller_x_over_expm1_pow(k + 1, order) * TruncSeries(order, at_exp)
+    return series_mul(miller_x_over_expm1(k + 1, order), at_exp)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -263,17 +254,32 @@ def test_build_F_eulerian_reads_no_bernoulli_data(monkeypatch):
 def test_build_F_direct_k0_matches_bernoulli():
     f = build_F_direct(0, 6)
     for j in range(7):
-        assert factorial(j) * f.coefficient(j) == bernoulli_poly(j)
+        assert factorial(j) * f[j] == bernoulli_poly(j)
 
 
 def test_build_F_direct_small():
     f = build_F_direct(1, 2)
-    assert f.coefficient(0) == UniPoly([1], "z")
-    assert f.coefficient(1) == UniPoly((), "z")
-    assert f.coefficient(2) == Fraction(-1, 2) * bernoulli_poly(2)
+    assert f == [UniPoly([1], "z"), UniPoly((), "z"),
+                 Fraction(-1, 2) * bernoulli_poly(2)]
     f2 = build_F_direct(2, 6)
-    assert not f2.coefficient(1)
-    assert not f2.coefficient(2)
+    assert not f2[1]
+    assert not f2[2]
+
+
+def test_builders_return_order_plus_one_coefficients():
+    # x^order may fall below F_k's first nonconstant term x^{k+1}: the
+    # lists are cut there (order < k), end at the zeros (order = k), or
+    # run on past them (order > k), with one coefficient per power of x
+    for k in range(1, 6):
+        longer = build_F_direct(k, k + 3)
+        for order in range(k + 3):
+            direct = build_F_direct(k, order)
+            assert len(direct) == order + 1, (k, order)
+            assert build_F_eulerian(k, order) == direct, (k, order)
+            assert direct == longer[:order + 1], (k, order)
+    assert build_F_direct(0, 0) == [UniPoly([1], "z")]
+    with pytest.raises(ValueError):
+        build_F_direct(2, -1)
 
 
 def test_build_F_eulerian_equals_direct():
@@ -285,25 +291,20 @@ def test_build_F_eulerian_equals_direct():
 
 
 def test_coefficient_extraction():
-    assert exp_zx(5).coefficient(3) == UniPoly(
-        [0, 0, 0, Fraction(1, 6)], "z")
-    assert build_F_direct(1, 4).coefficient(0) == UniPoly([1], "z")
+    assert exp_zx(5)[3] == UniPoly([0, 0, 0, Fraction(1, 6)], "z")
+    assert build_F_direct(1, 4)[0] == UniPoly([1], "z")
     # with n = 2, k = 1: k!^{n-1} [x^{(k+1)n-1}] F^n = S for the row below it
     f = build_F_direct(1, 4)
-    coeff = (f ** 2).coefficient(3)
+    coeff = power_rows(f, 2, 4)[3]
     z = UniPoly.variable("z")
     assert factorial(1) * coeff == (
         Fraction(-1, 3) * z * (z - 1) * (2 * z - 1))
-    with pytest.raises(ValueError):
-        exp_zx(3).coefficient(4)
 
 
 def test_reflection_of_F():
     # coefficientwise: (-1)^m * [x^m]F_k(x, 1-z) == [x^m]F_k(x, z)
     for k in range(5):
-        f = build_F_direct(k, 12)
-        for m in range(13):
-            c = f.coefficient(m)
+        for m, c in enumerate(build_F_direct(k, 12)):
             assert (-1) ** m * c.compose_affine(-1, 1) == c
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from bernkit.convolution import verify_polylog
-from bernkit.polycore import UniPoly, binomial, factorial, falling_product
-from bernkit.series import (TruncSeries, higher_bernoulli_poly,
-                            x_over_expm1_pow)
+from bernkit.polycore import (UniPoly, binomial, dot, factorial,
+                              falling_product, power_rows)
+from bernkit.series import higher_bernoulli_poly
 from bernkit.specialfns import (BernoulliCache, bernoulli_number,
                                 bernoulli_poly, eulerian_cache,
                                 eulerian_number, eulerian_poly)
@@ -122,14 +122,26 @@ def test_higher_bernoulli():
         assert higher_bernoulli_poly(m - 1, m) == falling_product(1, 0, m - 1)
 
 
+def series_mul(a, b):
+    # the truncated product of two coefficient lists, one dot per
+    # coefficient, through the shorter order
+    var = a[0].var
+    return [dot(((a[i], b[m - i], 1) for i in range(m + 1)), var)
+            for m in range(min(len(a), len(b)))]
+
+
 def test_higher_bernoulli_matches_the_full_series_product():
+    # against (x/(e^x-1))^r as one Miller power of (e^x-1)/x at a = -r,
+    # times e^{zx}
     for r in range(1, 6):
         for m in range(13):
-            exp_zx = TruncSeries(m, [UniPoly.monomial(
-                Fraction(1, factorial(i)), i) for i in range(m + 1)])
-            product = x_over_expm1_pow(r, m) * exp_zx
+            expm1_over_x = [UniPoly.constant(Fraction(1, factorial(i + 1)))
+                            for i in range(m + 1)]
+            exp_zx = [UniPoly.monomial(Fraction(1, factorial(i)), i)
+                      for i in range(m + 1)]
+            product = series_mul(power_rows(expm1_over_x, -r, m), exp_zx)
             assert (higher_bernoulli_poly(m, r)
-                    == factorial(m) * product.coefficient(m)), (m, r)
+                    == factorial(m) * product[m]), (m, r)
 
 
 def test_polylog_check():
@@ -143,15 +155,12 @@ def polylog_expansion_by_series(k, order):
     # A_k(y) * ((1-y)^{k+1})^{-1}, the reference for verify_polylog's
     # integer recurrence
     a_k = eulerian_poly(k)
-    numer = TruncSeries(
-        order, [UniPoly.constant(a_k.coefficient(j), "y")
-                for j in range(order + 1)], var="y")
-    denom = TruncSeries(
-        order, [UniPoly.constant(binomial(k + 1, j) * (-1) ** j, "y")
-                for j in range(order + 1)], var="y")
-    expansion = numer * denom ** -1
-    return [expansion.coefficient(m).coefficient(0)
-            for m in range(order + 1)]
+    numer = [UniPoly.constant(a_k.coefficient(j), "y")
+             for j in range(order + 1)]
+    denom = [UniPoly.constant(binomial(k + 1, j) * (-1) ** j, "y")
+             for j in range(order + 1)]
+    expansion = series_mul(numer, power_rows(denom, -1, order))
+    return [c.coefficient(0) for c in expansion]
 
 
 def polylog_check_by_series(k, order):

@@ -1,6 +1,7 @@
 """Start-up cost and import structure: importing bernkit loads no
-standard-library module that its arithmetic does not use, and its modules
-import one another in one order, at top level only.
+standard-library module that its arithmetic does not use, its modules
+import one another in one order, at top level only, and its public names
+are the ones README lists.
 
 Every bernkit command runs in a fresh interpreter, so what the import pulls
 in is paid once per command.  This file uses the standard library only, so
@@ -11,7 +12,9 @@ it also runs without pytest, from the repository root:
 """
 
 import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -72,3 +75,17 @@ def test_modules_import_one_another_in_layer_order_at_top_level_only():
                    for imported in _bernkit_imports(node)}
             below = set(LAYERS[:LAYERS.index(name)])
             assert top <= below, f"{name} imports {sorted(top - below)}"
+
+
+def test_readme_lists_the_public_api_exactly():
+    # the backticked names of the bullets under README's "`import bernkit`
+    # gives exactly this API:", a call's arguments dropped
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    bullets = text.split("`import bernkit` gives exactly this API:\n\n")[1]
+    listed = re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`",
+                        bullets.split("\n\n")[0])
+    public = {name for name, obj in vars(bernkit).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == set(listed)

@@ -191,8 +191,11 @@ def s_eulerian(n: int, k: int) -> UniPoly:
     length = m * (k + 1) - 1
     top = m * k
     power = _multisum_power_per_run(k, m)
-    ladder = _one_minus_y_powers(top)
-    rows = [_d_row(power, top - nu, ladder) for nu in range(top + 1)]
+    # [(1-y)^0, ..., (1-y)^top], one multiply per step
+    ladder = list(accumulate(repeat(UniPoly([1, -1], "y"), top), mul,
+                             initial=UniPoly.constant(1, "y")))
+    rows = [_d_row(power[top - nu], ladder[nu], top + 1)
+            for nu in range(top + 1)]
     leaves = [UniPoly._build([row[j] for row in rows], 1, "z")
               for j in range(top + 1)]
     a = [UniPoly._build([t, m], 1, "z") for t in range(top)]
@@ -437,31 +440,23 @@ def lemma5_coeffs(k: int, nu: int, n: int) -> tuple[int, int, int]:
     return c1, c2, c_lead
 
 
-def _one_minus_y_powers(top: int) -> list[UniPoly]:
-    # [(1-y)^0, ..., (1-y)^top], one multiply per step
-    ladder = [UniPoly.constant(1, "y")]
-    step = UniPoly([1, -1], "y")
-    for _ in range(top):
-        ladder.append(ladder[-1] * step)
-    return ladder
-
-
-def _d_row(power: list[UniPoly], nu: int,
-           ladder: list[UniPoly]) -> tuple[int, ...]:
-    # coefficients of (1-y)^{nk-nu} * power[nu], padded to length nk+1,
-    # where power = multisum_power(k, n) has nk+1 entries and ladder holds
-    # the powers of (1-y) through the nk-nu-th
-    size = len(power)
-    poly = ladder[size - 1 - nu] * power[nu]
+def _d_row(row: UniPoly, one_minus_y_power: UniPoly,
+           size: int) -> tuple[int, ...]:
+    # the coefficients of (1-y)^{nk-nu} * S^{(n)}_{k,nu}(y), given the row
+    # S^{(n)}_{k,nu} and that power of (1-y), as ints padded to size = nk+1
+    poly = one_minus_y_power * row
     return (poly.integer_coeffs() + (0,) * size)[:size]
 
 
 def d_coeffs(n: int, k: int, nu: int) -> tuple[int, ...]:
     """Coefficients d_j of (1-y)^{nk-nu} * S^{(n)}_{k,nu}(y), j = 0..nk, as
-    an int tuple."""
+    an int tuple.  The row is multisum_poly_power's, so outside a
+    `per_run_memo` block the multisum power is built through row nu only,
+    and the cost follows nu: row 0 is (1-y)^{nk} alone."""
     if not 0 <= nu <= n * k:
         raise ValueError("need 0 <= nu <= n*k")
-    return _d_row(multisum_power(k, n), nu, _one_minus_y_powers(n * k - nu))
+    return _d_row(multisum_poly_power(k, nu, n),
+                  UniPoly([1, -1], "y") ** (n * k - nu), n * k + 1)
 
 
 # ---------------------------------------------------------------------------

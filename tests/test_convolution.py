@@ -325,7 +325,8 @@ def test_eulerian_route_reads_no_enumeration_or_bernoulli_data(monkeypatch):
     calls = []
     power = conv.multisum_power
     monkeypatch.setattr(conv, "multisum_power",
-                        lambda k, n: calls.append((k, n)) or power(k, n))
+                        lambda k, n, top=None: calls.append((k, n))
+                        or power(k, n, top))
     assert s_eulerian(4, 3) == expected_s
     assert calls == [(3, 5)]  # one bivariate power per S[n,k]
     d = d_coeffs(4, 3, 5)
@@ -386,6 +387,34 @@ def test_d_coeffs_top_row_is_eulerian_power():
             power = eulerian_poly(k) ** n
             assert list(d_coeffs(n, k, n * k)) == [
                 power.coefficient(j) for j in range(n * k + 1)]
+
+
+def test_d_coeffs_matches_the_whole_power():
+    # the reference: (1-y)^{nk-nu} times row nu of the whole bivariate
+    # power, padded with zeros to nk+1 coefficients
+    for n in range(1, 6):
+        for k in range(1, 5):
+            power = multisum_power(k, n)
+            size = n * k + 1
+            for nu in range(size):
+                poly = UniPoly([1, -1], "y") ** (n * k - nu) * power[nu]
+                want = (poly.integer_coeffs() + (0,) * size)[:size]
+                assert d_coeffs(n, k, nu) == want, (n, k, nu)
+
+
+def test_d_coeffs_builds_rows_through_nu_only(monkeypatch):
+    # outside a sweep d_coeffs asks the multisum power for its rows through
+    # nu and no further: row 0 is one power of (1-y), whatever nk is
+    import bernkit.convolution as conv
+    tops = []
+    power = conv.multisum_power
+    monkeypatch.setattr(conv, "multisum_power",
+                        lambda k, n, top=None: tops.append(top)
+                        or power(k, n, top))
+    for n, k, nu in [(1, 3, 0), (3, 2, 4), (4, 3, 12), (2, 30, 5)]:
+        tops.clear()
+        d_coeffs(n, k, nu)
+        assert tops == [nu], (n, k, nu)
 
 
 def test_d_coeffs_zero_constant():

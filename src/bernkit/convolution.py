@@ -265,13 +265,13 @@ def per_run_memo():
     - ("multisum_power", k, n): multisum_power(k, n), read by the eulerian
       route at n = n'+1 and by lemma 5's power computation;
     - ("multisum factor", k, t, m): (C(k,t) A_t(y))^m, the factors of
-      multisum_poly_multinomial;
-    - "x/(e^x-1)": x/(e^x-1) through the largest order asked for so far,
-      as integer numerators over one denominator, shared by lemma 4's
-      Eulerian side and verify_bernoulli_cache (_x_over_expm1_per_run).
+      multisum_poly_multinomial.
 
-    `run_suite` opens one per call, so nothing outlives a sweep and a fault
-    injected into a family cache between sweeps is seen by the next one."""
+    Each is derived from a family cache.  `run_suite` opens one per call,
+    so nothing outlives a sweep and a fault injected into a family cache
+    between sweeps is seen by the next one.  x/(e^x-1) is derived from no
+    cache, so it is a process-wide family of its own
+    (series._x_over_expm1)."""
     token = _run_memo.set({})
     try:
         yield
@@ -851,12 +851,12 @@ def verify_routes(n: int, k: int) -> str | None:
 
 
 def verify_lemma4(k: int, order: int) -> str | None:
-    """The Eulerian construction of F_k equals the direct one.  Inside a
-    sweep the Eulerian side takes its x/(e^x-1) from the one series that
-    verify_bernoulli_cache reads (_x_over_expm1_per_run); that series is
-    built by inversion, never from Bernoulli data."""
+    """The Eulerian construction of F_k equals the direct one.  The
+    Eulerian side cuts the process-wide x/(e^x-1) that
+    verify_bernoulli_cache reads as well; that series is built by
+    inversion, never from Bernoulli data."""
     direct = build_F_direct(k, order)
-    eulerian = build_F_eulerian(k, order, _x_over_expm1_per_run(order))
+    eulerian = build_F_eulerian(k, order)
     for m, (d, e) in enumerate(zip(direct, eulerian)):
         if d != e:
             return f"coefficient of x^{m} differs: {e - d!r}"
@@ -999,35 +999,16 @@ def verify_bernoulli_cache(m: int) -> str | None:
 
     The cache is built by the number recurrence, the comparison value by
     series inversion that never reads the cache, so a corrupted cache entry
-    cannot hide.  B_m(z) is read off the series's first m+1 coefficients
-    (series._exp_zx_read_off), with no e^{zx} series formed; inside a sweep
-    the series is the one _x_over_expm1_per_run shares with lemma 4.  The
-    cache is read off the specialfns module when the check runs.
+    cannot hide.  B_m(z) is read off the first m+1 coefficients of the
+    process-wide x/(e^x-1) that lemma 4 cuts too (series._exp_zx_read_off),
+    with no e^{zx} series formed.  The cache is read off the specialfns
+    module when the check runs.
     """
     cached = bernoulli_poly(m)
-    independent = _exp_zx_read_off(
-        *_x_over_expm1_nums(1, m, _x_over_expm1_per_run(m)))
+    independent = _exp_zx_read_off(*_x_over_expm1_nums(1, m))
     if cached != independent:
         return f"cached {cached!r} != series value {independent!r}"
     return None
-
-
-def _x_over_expm1_per_run(order: int) -> tuple[list[int], int] | None:
-    # x/(e^x-1) through x^order or further, as integer numerators over one
-    # denominator (series._x_over_expm1_nums), or None outside a sweep,
-    # where each call inverts (e^x-1)/x anew.  Inside one, lemma 4 and the
-    # Bernoulli cache check share one series, built to the larger of order
-    # and the top published cache entry (the cache's length, never its
-    # values) and rebuilt only for an order beyond that; a longer series
-    # cut at x^order is the same series.
-    memo = _run_memo.get()
-    if memo is None:
-        return None
-    inverse = memo.get("x/(e^x-1)")
-    if inverse is None or len(inverse[0]) <= order:
-        inverse = memo["x/(e^x-1)"] = _x_over_expm1_nums(
-            1, max(order, len(specialfns.bernoulli_cache.polys) - 1))
-    return inverse
 
 
 def degree_check(n: int, k: int, route: str = "series") -> str | None:

@@ -6,17 +6,19 @@ a power of F_k, and polycore.power_rows (J.C.P. Miller's recurrence) is
 it; so this module holds builders only: (x/(e^x-1))^r, the higher-order
 Bernoulli polynomials read off it, and the two constructions of the
 auxiliary series F_k(x, z), each a list of exactly order + 1
-coefficients.  (x/(e^x-1))^r is one inverse by power_rows and r-1 of
-Norlund's steps; it and the Eulerian construction of F_k work on series
-with constant coefficients as integer numerators over one denominator, so
-a scalar costs an int operation, not a polynomial one.  The named
-families they read come from specialfns, which imports nothing but the
-base ring.
+coefficients.  x/(e^x-1) is a family beside B_m and A_k: one
+process-wide series that only grows, each growth one inverse by
+power_rows, and (x/(e^x-1))^r is r-1 of Norlund's steps on its cut.  It
+and the Eulerian construction of F_k work on series with constant
+coefficients as integer numerators over one denominator, so a scalar
+costs an int operation, not a polynomial one.  The named families they
+read come from specialfns, which imports nothing but the base ring.
 """
 
 from __future__ import annotations
 
 import math
+from _thread import allocate_lock
 from fractions import Fraction
 from operator import add, mul
 
@@ -24,41 +26,47 @@ from .polycore import UniPoly, _mul_add, binomial, factorial, power_rows
 from .specialfns import bernoulli_poly, eulerian_poly
 
 
-def _x_over_expm1_nums(r: int, order: int,
-                       inverse: tuple[list[int], int] | None = None
-                       ) -> tuple[list[int], int]:
+#: x/(e^x-1) through the largest order built so far, as the integer
+#: numerators of its coefficients over one denominator.  Like the specialfns
+#: caches it is process-wide, only grows, and grows under a lock;
+#: reachable so tests can reset it
+_x_over_expm1 = ([1], 1)
+_x_over_expm1_lock = allocate_lock()
+
+
+def _x_over_expm1_nums(r: int, order: int) -> tuple[list[int], int]:
     """(x/(e^x - 1))^r through x^order, as the integer numerators of its
     coefficients over one denominator.
 
-    x/(e^x-1) is the inverse of (e^x-1)/x, one polycore.power_rows call at
-    a = -1.  Each higher power is one step of Norlund's recurrence for
-    B^{(s)}_m = m! [x^m] (x/(e^x-1))^s,
+    x/(e^x-1) is the process-wide series _x_over_expm1 cut at x^order:
+    Miller's rows do not depend on where they are cut.  When it stops below
+    x^order, one polycore.power_rows call at a = -1 inverts (e^x-1)/x
+    through x^(2 order) and replaces it, so rising orders rebuild it about
+    log2(top) times at most and a default sweep once.  No step reads
+    Bernoulli data.  Each higher power is one step of Norlund's recurrence
+    for B^{(s)}_m = m! [x^m] (x/(e^x-1))^s,
 
         B^{(s+1)}_m = (1 - m/s) B^{(s)}_m - m B^{(s)}_{m-1},
 
     which on the coefficients b_m = B^{(s)}_m / m! reads
     s b'_m = (s - m) b_m - s b_{m-1}, run on the numerators over a
     denominator that gains the factor s.  The steps cost about r * order
-    integer operations and the inverse order^2/2 terms, so a power far
-    above its order costs more than one Miller power at a = -r would.
-
-    `inverse`, when given, is x/(e^x-1) in that form through x^order or
-    further, and is cut instead of rebuilt: Miller's rows do not depend
-    on where they are cut, and the steps work over any common denominator.
+    integer operations, so a power far above its order costs more than
+    one Miller power at a = -r would.
     """
+    global _x_over_expm1
     if r < 1 or order < 0:
         raise ValueError("need r >= 1 and order >= 0")
-    if inverse is None:
-        coeffs = power_rows(
-            [UniPoly.constant(Fraction(1, factorial(m + 1)), "z")
-             for m in range(order + 1)], -1, order)
-        den = math.lcm(*[c.den for c in coeffs])
-        nums = [c.nums[0] * (den // c.den) if c.nums else 0 for c in coeffs]
-    elif len(inverse[0]) <= order:
-        raise ValueError(f"the inverse stops at x^{len(inverse[0]) - 1}, "
-                         f"below x^{order}")
-    else:
-        nums, den = inverse[0][:order + 1], inverse[1]
+    with _x_over_expm1_lock:
+        if len(_x_over_expm1[0]) <= order:
+            coeffs = power_rows(
+                [UniPoly.constant(Fraction(1, factorial(m + 1)), "z")
+                 for m in range(2 * order + 1)], -1, 2 * order)
+            den = math.lcm(*[c.den for c in coeffs])
+            _x_over_expm1 = ([c.nums[0] * (den // c.den) if c.nums else 0
+                              for c in coeffs], den)
+        nums, den = _x_over_expm1
+    nums = nums[:order + 1]
     for s in range(1, r):
         nums = [(s - m) * b - s * before
                 for m, (b, before) in enumerate(zip(nums, [0] + nums))]
@@ -101,9 +109,7 @@ def build_F_direct(k: int, order: int) -> list[UniPoly]:
     return cs[:order + 1]
 
 
-def build_F_eulerian(k: int, order: int,
-                     inverse: tuple[list[int], int] | None = None
-                     ) -> list[UniPoly]:
+def build_F_eulerian(k: int, order: int) -> list[UniPoly]:
     """F_k(x,z) through x^order rebuilt from Eulerian polynomials:
 
     (x/(e^x-1))^{k+1} e^{xz} sum_{j=0}^{k} (1-e^x)^j A_{k-j}(e^x)/(k-j)! * z^j/j!
@@ -116,14 +122,13 @@ def build_F_eulerian(k: int, order: int,
     product of integer numerator lists (polycore._mul_add) over one
     denominator shared by every j, and the z^d coefficient of [x^m] F is
     sum_j [x^{m-d+j}] K_j / (d-j)!.  (x/(e^x-1))^{k+1} comes from
-    _x_over_expm1_nums, which cuts `inverse` when given: x/(e^x-1) through
-    x^order or further in the same form.  Nothing here reads Bernoulli
-    data.
+    _x_over_expm1_nums, on the process-wide x/(e^x-1).  Nothing here reads
+    Bernoulli data.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is covered by the "
                          "direct construction)")
-    xs, x_den = _x_over_expm1_nums(k + 1, order, inverse)
+    xs, x_den = _x_over_expm1_nums(k + 1, order)
     # i^m order!/m!, so P_j's x^m numerator over k! order! is
     # C(k,j) sum_i [y^i] (1-y)^j A_{k-j}(y) i^m order!/m!
     weights = [factorial(order) // factorial(m) for m in range(order + 1)]

@@ -35,10 +35,17 @@ def exp_zx(order):
             for m in range(order + 1)]
 
 
-def x_over_expm1(r, order, inverse=None):
+def x_over_expm1(r, order):
     # (x/(e^x-1))^r through x^order as a series of constants
-    nums, den = _x_over_expm1_nums(r, order, inverse)
+    nums, den = _x_over_expm1_nums(r, order)
     return as_series([Fraction(b, den) for b in nums], order)
+
+
+def reset_x_over_expm1(monkeypatch):
+    # the process-wide x/(e^x-1) back at its start value, x^0 alone, so a
+    # test sees every growth whatever ran before it
+    import bernkit.series as series
+    monkeypatch.setattr(series, "_x_over_expm1", ([1], 1))
 
 
 # 1 - e^x through x^4: a zero constant term, so no inverse
@@ -166,16 +173,14 @@ def miller_x_over_expm1(r, order):
     return power_rows(expm1_over_x, -r, order)
 
 
-def test_norlund_powers_match_the_miller_power():
-    shared = _x_over_expm1_nums(1, 40)
+def test_norlund_powers_match_the_miller_power(monkeypatch):
+    # from the start value, so the rising orders meet the series at every
+    # length it takes, and the later r cut a longer series
+    reset_x_over_expm1(monkeypatch)
     for r in range(1, 9):
         for order in range(31):
             expected = miller_x_over_expm1(r, order)
             assert x_over_expm1(r, order) == expected, (r, order)
-            # a longer inverse cut at x^order gives the same power
-            assert x_over_expm1(r, order, shared) == expected, (r, order)
-    with pytest.raises(ValueError):
-        _x_over_expm1_nums(2, 41, shared)
     for r, order in [(0, 5), (1, -1)]:
         with pytest.raises(ValueError):
             _x_over_expm1_nums(r, order)
@@ -185,6 +190,7 @@ def test_norlund_powers_match_the_miller_power():
 
 def test_x_over_expm1_nums_inverts_once(monkeypatch):
     import bernkit.series as series
+    reset_x_over_expm1(monkeypatch)
     calls = []
     rows = series.power_rows
     monkeypatch.setattr(series, "power_rows",
@@ -192,10 +198,14 @@ def test_x_over_expm1_nums_inverts_once(monkeypatch):
                         or rows(h, a, top))
     for r in (1, 2, 7):
         _x_over_expm1_nums(r, 20)
-    assert calls == [(-1, 20)] * 3
-    # a given inverse is cut, never rebuilt
-    _x_over_expm1_nums(5, 12, _x_over_expm1_nums(1, 30))
-    assert calls == [(-1, 20)] * 3 + [(-1, 30)]
+    # built once, through twice the order asked
+    assert calls == [(-1, 40)]
+    # cut, never rebuilt, up to that order; rebuilt past it
+    _x_over_expm1_nums(5, 12)
+    _x_over_expm1_nums(3, 40)
+    assert calls == [(-1, 40)]
+    _x_over_expm1_nums(1, 41)
+    assert calls == [(-1, 40), (-1, 82)]
 
 
 def build_F_eulerian_ladder(k, order):
@@ -221,11 +231,9 @@ def build_F_eulerian_ladder(k, order):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_build_F_eulerian_matches_the_ladder_construction(k):
     top = 6 * (k + 1)
-    shared = _x_over_expm1_nums(1, top + 5)
     for order in range(top + 1):
         expected = build_F_eulerian_ladder(k, order)
         assert build_F_eulerian(k, order) == expected, (k, order)
-        assert build_F_eulerian(k, order, shared) == expected, (k, order)
 
 
 def test_build_F_eulerian_reads_no_bernoulli_data(monkeypatch):
@@ -233,6 +241,8 @@ def test_build_F_eulerian_reads_no_bernoulli_data(monkeypatch):
     import bernkit.specialfns as sf
     points = [(k, 6 * (k + 1)) for k in range(1, 5)]
     expected = [build_F_direct(k, order) for k, order in points]
+    # so x/(e^x-1) is inverted below, with Bernoulli data forbidden
+    reset_x_over_expm1(monkeypatch)
 
     class Forbidden:
         def __getattr__(self, name):
@@ -245,10 +255,10 @@ def test_build_F_eulerian_reads_no_bernoulli_data(monkeypatch):
                          (series, "bernoulli_poly")]:
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(sf, "bernoulli_cache", Forbidden())
-    shared = _x_over_expm1_nums(1, 40)
+    orders = _record_comparison_orders(monkeypatch)
     for (k, order), f in zip(points, expected):
         assert build_F_eulerian(k, order) == f, k
-        assert build_F_eulerian(k, order, shared) == f, k
+    assert orders == [24, 60]
 
 
 def test_build_F_direct_k0_matches_bernoulli():
@@ -318,53 +328,95 @@ def test_bernoulli_cache_check_grows_its_series_within_a_run(monkeypatch):
         monkeypatch.setattr(bernoulli_cache, name,
                             getattr(bernoulli_cache, name)[:9])
     monkeypatch.setattr(bernoulli_cache, "_den", bernoulli_cache._den)
+    reset_x_over_expm1(monkeypatch)
     orders = _record_comparison_orders(monkeypatch)
     with per_run_memo():
         for m in range(41):
             assert verify_bernoulli_cache(m) is None, m
-    assert orders[0] == 8
-    assert orders[-1] == 40
-    assert orders == sorted(set(orders))
+    # each growth goes through twice the first order past the series,
+    # whatever the cache's length
+    assert orders == [2, 6, 14, 30, 62]
 
 
-def test_bernoulli_cache_check_outside_a_run_builds_per_call(monkeypatch):
+def test_bernoulli_cache_check_inverts_once_from_a_reset_series(
+        monkeypatch):
     from bernkit.convolution import verify_bernoulli_cache
+    reset_x_over_expm1(monkeypatch)
     orders = _record_comparison_orders(monkeypatch)
     assert verify_bernoulli_cache(5) is None
+    assert orders == [10]
     assert verify_bernoulli_cache(5) is None
-    assert orders == [5, 5]
+    assert orders == [10]
 
 
 def test_lemma4_and_the_cache_check_share_one_inverse_within_a_run(
         monkeypatch):
     import bernkit.convolution as conv
+    import bernkit.series as series
+    reset_x_over_expm1(monkeypatch)
     orders = _record_comparison_orders(monkeypatch)
-    given = []
-    build = conv.build_F_eulerian
-    monkeypatch.setattr(conv, "build_F_eulerian",
-                        lambda k, order, inverse: given.append(inverse)
-                        or build(k, order, inverse))
     with conv.per_run_memo():
         for k in (1, 2, 3):
             assert conv.verify_lemma4(k, 6 * (k + 1)) is None
-        built = list(orders)
         for m in range(25):
             assert conv.verify_bernoulli_cache(m) is None
-        shared = conv._run_memo.get()["x/(e^x-1)"]
-    # built at most once for k = 1 and once more for k = 3, each time to
-    # the top published cache entry or further; the cache check reuses it
-    assert 1 <= len(built) <= 2 and built == sorted(set(built))
-    assert built[-1] >= 24 and orders == built
-    assert given[-1] is shared
-    assert all(len(s[0]) > 6 * (k + 1) for k, s in enumerate(given, 1))
+        # the sweep memo holds no part of it
+        assert conv._run_memo.get() == {}
+    # built once, for k = 1 through x^24, which the cache check cuts too
+    assert orders == [24]
+    assert len(series._x_over_expm1[0]) == 25
 
 
-def test_lemma4_outside_a_run_builds_its_inverse_per_call(monkeypatch):
+def test_lemma4_inverts_once_from_a_reset_series(monkeypatch):
     from bernkit.convolution import verify_lemma4
+    reset_x_over_expm1(monkeypatch)
     orders = _record_comparison_orders(monkeypatch)
     assert verify_lemma4(1, 12) is None
+    assert orders == [24]
     assert verify_lemma4(1, 12) is None
-    assert orders == [12, 12]
+    assert orders == [24]
+
+
+def test_a_second_sweep_inverts_nothing(monkeypatch):
+    import bernkit.specialfns as sf
+    from bernkit.convolution import run_suite
+    reset_x_over_expm1(monkeypatch)
+    # a fresh Bernoulli cache too: run_suite checks every published entry,
+    # and one grown by earlier work would ask for a longer series
+    monkeypatch.setattr(sf, "bernoulli_cache", sf.BernoulliCache())
+    orders = _record_comparison_orders(monkeypatch)
+    assert all(r.passed for r in run_suite("all", 4, 3))
+    assert orders == [24]
+    assert all(r.passed for r in run_suite("all", 4, 3))
+    assert orders == [24]
+
+
+def test_x_over_expm1_safe_under_concurrent_growth(monkeypatch):
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+    import bernkit.series as series
+    orders = list(range(41))
+    random.Random(2019).shuffle(orders)
+    reset_x_over_expm1(monkeypatch)
+    expected = [x_over_expm1(3, order) for order in orders]
+    reset_x_over_expm1(monkeypatch)
+    # the published length when each growth starts, then at the end; the
+    # pause lets every thread ask before the first growth is published
+    lengths = []
+    rows = series.power_rows
+
+    def slow(h, a, top):
+        lengths.append(len(series._x_over_expm1[0]))
+        time.sleep(0.01)
+        return rows(h, a, top)
+
+    monkeypatch.setattr(series, "power_rows", slow)
+    with ThreadPoolExecutor(8) as pool:
+        got = list(pool.map(lambda order: x_over_expm1(3, order), orders))
+    lengths.append(len(series._x_over_expm1[0]))
+    assert got == expected
+    assert lengths == sorted(lengths)
+    assert lengths[-1] > 40
 
 
 def _record_comparison_orders(monkeypatch):

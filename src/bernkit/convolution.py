@@ -27,8 +27,8 @@ from itertools import accumulate, product, repeat
 from operator import add, mul
 
 from . import specialfns
-from .polycore import (UniPoly, binomial, dot, factorial, falling_product,
-                       interpolate, multinomial, power_rows)
+from .polycore import (UniPoly, _mul_sum, binomial, dot, factorial,
+                       falling_product, interpolate, multinomial, power_rows)
 from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
                          eulerian_poly)
 from .series import (_exp_zx_read_off, _x_over_expm1_nums, build_F_direct,
@@ -176,14 +176,17 @@ def s_eulerian(n: int, k: int) -> UniPoly:
                 prod_{r=1}^{M} (m z + j - r),
     with m = n+1 and M = m(k+1) - 1.  Every d-row is read from one
     multisum_power(k, m), which a sweep builds once for this route and
-    lemma 5 together.
+    lemma 5 together, and multiplied by the binomial row of (1-y)^nu
+    (_d_row).
 
     Regrouped by j, this is sum_j P_j(z) D_j(z) with
     D_j = sum_nu d_j^{(mk-nu)} z^nu and P_j = prod_{t=j-M}^{j-1} (m z + t).
     Every P_j holds C = prod_{t=-n}^{-1} (m z + t), so
     P_j = C R_j L_j with R_j = prod_{t<j} a_t and L_j = prod_{t>=j} b_t,
-    a_t = m z + t and b_t = m z + t - M for t = 0..mk-1.  The sum of
-    R_j L_j D_j is formed by _tree_sum, then multiplied once by C.
+    a_t = m z + t and b_t = m z + t - M for t = 0..mk-1.  From the d-rows
+    to the sum of R_j L_j D_j, formed by _tree_sum, everything is an
+    integer coefficient list; that sum is divided once by k! M! and
+    multiplied once by C.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -191,39 +194,34 @@ def s_eulerian(n: int, k: int) -> UniPoly:
     length = m * (k + 1) - 1
     top = m * k
     power = _multisum_power_per_run(k, m)
-    # [(1-y)^0, ..., (1-y)^top], one multiply per step
-    ladder = list(accumulate(repeat(UniPoly([1, -1], "y"), top), mul,
-                             initial=UniPoly.constant(1, "y")))
-    rows = [_d_row(power[top - nu], ladder[nu], top + 1)
-            for nu in range(top + 1)]
-    leaves = [UniPoly._build([row[j] for row in rows], 1, "z")
-              for j in range(top + 1)]
-    a = [UniPoly._build([t, m], 1, "z") for t in range(top)]
-    b = [UniPoly._build([t - length, m], 1, "z") for t in range(top)]
+    rows = [_d_row(power[top - nu], nu, top + 1) for nu in range(top + 1)]
+    # leaf j is D_j: column j of the d-rows
+    leaves = list(zip(*rows))
+    a = [[t, m] for t in range(top)]
+    b = [[t - length, m] for t in range(top)]
     _, _, total = _tree_sum(leaves, a, b, 0, top + 1)
-    return falling_product(m, 0, n) * total * Fraction(
-        1, factorial(k) * factorial(length))
+    return falling_product(m, 0, n) * UniPoly._build(
+        total, factorial(k) * factorial(length), "z")
 
 
 def _tree_sum(leaves, a, b, lo, hi):
-    # (A, B, T) for the leaves lo..hi-1: A = prod_{t=lo}^{hi-2} a_t,
-    # B = prod_{t=lo}^{hi-2} b_t and
+    # (A, B, T) for the leaves lo..hi-1, all integer coefficient lists in z:
+    # A = prod_{t=lo}^{hi-2} a_t, B = prod_{t=lo}^{hi-2} b_t and
     # T = sum_j (prod_{t=lo}^{j-1} a_t) (prod_{t=j}^{hi-2} b_t) leaves[j].
     # The two halves meet at the factors a_{mid-1} and b_{mid-1}, so the
     # products stay balanced and their coefficients small below the top.
     # Only a left half's A and a right half's B are read, so A is None on
     # the right edge (hi == len(leaves)) and B on the left edge (lo == 0).
     if hi - lo == 1:
-        one = UniPoly.constant(1, "z")
-        return one, one, leaves[lo]
+        return [1], [1], leaves[lo]
     mid = (lo + hi) // 2
     a_l, b_l, t_l = _tree_sum(leaves, a, b, lo, mid)
     a_r, b_r, t_r = _tree_sum(leaves, a, b, mid, hi)
-    left = a_l * a[mid - 1]
-    right = b[mid - 1] * b_r
-    return (left * a_r if hi < len(leaves) else None,
-            b_l * right if lo > 0 else None,
-            dot(((t_l, right, 1), (left, t_r, 1)), "z"))
+    left = _mul_sum(((a_l, a[mid - 1], 1),))
+    right = _mul_sum(((b[mid - 1], b_r, 1),))
+    return (_mul_sum(((left, a_r, 1),)) if hi < len(leaves) else None,
+            _mul_sum(((b_l, right, 1),)) if lo > 0 else None,
+            _mul_sum(((t_l, right, 1), (left, t_r, 1))))
 
 
 ROUTES: dict[str, Callable[[int, int], UniPoly]] = {
@@ -440,23 +438,27 @@ def lemma5_coeffs(k: int, nu: int, n: int) -> tuple[int, int, int]:
     return c1, c2, c_lead
 
 
-def _d_row(row: UniPoly, one_minus_y_power: UniPoly,
-           size: int) -> tuple[int, ...]:
-    # the coefficients of (1-y)^{nk-nu} * S^{(n)}_{k,nu}(y), given the row
-    # S^{(n)}_{k,nu} and that power of (1-y), as ints padded to size = nk+1
-    poly = one_minus_y_power * row
-    return (poly.integer_coeffs() + (0,) * size)[:size]
+def _d_row(row: UniPoly, e: int, size: int) -> list[int]:
+    """The coefficients of (1-y)^e * row for a row in Z[y], as ints cut or
+    padded to size: one product of the row's numerators with the binomial
+    row (-1)^i C(e, i) of (1-y)^e, so no power of (1-y) is formed as a
+    polynomial.  ValueError unless the row is in Z[y]."""
+    ones = [1]  # (-1)^i C(e, i), each from the one before
+    for i in range(e):
+        ones.append(-ones[-1] * (e - i) // (i + 1))
+    return (_mul_sum(((row.integer_coeffs(), ones, 1),)) + [0] * size)[:size]
 
 
 def d_coeffs(n: int, k: int, nu: int) -> tuple[int, ...]:
     """Coefficients d_j of (1-y)^{nk-nu} * S^{(n)}_{k,nu}(y), j = 0..nk, as
-    an int tuple.  The row is multisum_poly_power's, so outside a
-    `per_run_memo` block the multisum power is built through row nu only,
-    and the cost follows nu: row 0 is (1-y)^{nk} alone."""
+    an int tuple: _d_row of row nu.  The row is multisum_poly_power's, so
+    outside a `per_run_memo` block the multisum power is built through row
+    nu only, and the cost follows nu: row 0 is the binomial row of
+    (1-y)^{nk} alone."""
     if not 0 <= nu <= n * k:
         raise ValueError("need 0 <= nu <= n*k")
-    return _d_row(multisum_poly_power(k, nu, n),
-                  UniPoly([1, -1], "y") ** (n * k - nu), n * k + 1)
+    return tuple(_d_row(multisum_poly_power(k, nu, n), n * k - nu,
+                        n * k + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,17 @@ the arithmetic runs on plain ``int``s with one gcd normalisation when a
 result is built.  ``dot`` forms a whole sum of products that way: every
 product goes into one integer list over one common denominator, so a
 convolution costs one normalisation instead of one per ``*`` and ``+``;
-``UniPoly``'s ``+`` and ``-`` are such sums too.  ``power_rows`` raises a
-power series with polynomial coefficients and a nonzero constant lowest
-coefficient to an integer power by Miller's recurrence, one ``dot`` and one
-division by a scalar per row, in the variable of that coefficient; both
-fast routes to S[n,k] take their powers from it.  ``interpolate`` builds the
+``UniPoly``'s ``+`` and ``-`` are such sums too.  ``_mul_add`` is the one
+convolution loop; ``_mul_sum`` adds scaled products of integer coefficient
+lists into one new list on top of it, and serves ``UniPoly.__mul__``,
+``dot`` and the integer-list products of the eulerian side (the d-rows and
+product tree of the eulerian route, and (1-y)^j A_{k-j}(y) in the Eulerian
+construction of F_k); ``compose_affine`` runs ``_mul_add`` into a list it
+has seeded.  ``power_rows`` raises a power series with polynomial
+coefficients and a nonzero constant lowest coefficient to an integer power
+by Miller's recurrence, one ``dot`` and one division by a scalar per row,
+in the variable of that coefficient; both fast routes to S[n,k] take their
+powers from it.  ``interpolate`` builds the
 same form from a polynomial's D+2 integer values at 0..D+1 over one
 denominator, D read from their number, and refuses values of degree above
 D; both composition enumerations, the direct route to S[n,k] and the
@@ -186,12 +192,8 @@ class UniPoly:
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             self._check_var(other)
-            a, b = self.nums, other.nums
-            if not a or not b:
-                return UniPoly._build([], 1, self.var)
-            out = [0] * (len(a) + len(b) - 1)
-            _mul_add(out, a, b, 1)
-            return UniPoly._build(out, self.den * other.den, self.var)
+            return UniPoly._build(_mul_sum(((self.nums, other.nums, 1),)),
+                                  self.den * other.den, self.var)
         if isinstance(other, (int, Fraction)):
             s = other.numerator
             return UniPoly._build([c * s for c in self.nums],
@@ -304,6 +306,20 @@ def _mul_add(out: list[int], a: Sequence[int], b: Sequence[int],
                 out[j] += x * y
 
 
+def _mul_sum(terms: Iterable[tuple[Sequence[int], Sequence[int], int]]
+             ) -> list[int]:
+    # sum of s * a * b over the (a, b, s) triples of integer coefficient
+    # lists, as one list as long as the longest product; an empty a or b
+    # adds nothing, and with none left the sum is []
+    live = [term for term in terms if term[0] and term[1]]
+    if not live:
+        return []
+    out = [0] * (max(len(a) + len(b) for a, b, _ in live) - 1)
+    for a, b, s in live:
+        _mul_add(out, a, b, s)
+    return out
+
+
 def dot(terms: Iterable[tuple[UniPoly, UniPoly, int | Fraction]],
         var: str) -> UniPoly:
     """sum of w * p * q over the (p, q, w) triples, as one polynomial in var.
@@ -322,13 +338,9 @@ def dot(terms: Iterable[tuple[UniPoly, UniPoly, int | Fraction]],
         if p.nums and q.nums and w:
             live.append((p.nums, q.nums, w.numerator,
                          p.den * q.den * w.denominator))
-    if not live:
-        return UniPoly._build([], 1, var)
     den = math.lcm(*[d for _, _, _, d in live])
-    out = [0] * (max(len(a) + len(b) for a, b, _, _ in live) - 1)
-    for a, b, s, d in live:
-        _mul_add(out, a, b, s * (den // d))
-    return UniPoly._build(out, den, var)
+    return UniPoly._build(_mul_sum((a, b, s * (den // d))
+                                   for a, b, s, d in live), den, var)
 
 
 def power_rows(h: Sequence[UniPoly], a: int, top: int) -> list[UniPoly]:

@@ -22,7 +22,7 @@ from _thread import allocate_lock
 from fractions import Fraction
 from operator import add, mul
 
-from .polycore import UniPoly, _mul_add, binomial, factorial, power_rows
+from .polycore import UniPoly, _mul_sum, binomial, factorial, power_rows
 from .specialfns import bernoulli_poly, eulerian_poly
 
 
@@ -118,12 +118,14 @@ def build_F_eulerian(k: int, order: int) -> list[UniPoly]:
     K_j = (x/(e^x-1))^{k+1} P_j(x) and, y = e^x,
     P_j = sum_i [y^i] (1-y)^j A_{k-j}(y) e^{ix} / (j! (k-j)!), whose x^m
     coefficient is sum_i [y^i] (1-y)^j A_{k-j}(y) i^m / (j! (k-j)! m!).
-    Both factors of K_j have constant coefficients, so each K_j is one
-    product of integer numerator lists (polycore._mul_add) over one
-    denominator shared by every j, and the z^d coefficient of [x^m] F is
+    Both factors of K_j have constant coefficients, so K_j is a product of
+    integer numerator lists over one denominator shared by every j, formed
+    through x^order only, one dense sum per coefficient; (1-y)^j A_{k-j}(y)
+    is one product (polycore._mul_sum) of the binomial row of (1-y)^j with
+    A_{k-j}'s coefficients.  The z^d coefficient of [x^m] F is
     sum_j [x^{m-d+j}] K_j / (d-j)!.  (x/(e^x-1))^{k+1} comes from
     _x_over_expm1_nums, on the process-wide x/(e^x-1).  Nothing here reads
-    Bernoulli data.
+    Bernoulli data, and no power of (1-y) is formed as a polynomial.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is covered by the "
@@ -135,13 +137,16 @@ def build_F_eulerian(k: int, order: int) -> list[UniPoly]:
     at = [[i ** m * w for m, w in enumerate(weights)] for i in range(k + 1)]
     products = []
     for j in range(k + 1):
-        in_y = (UniPoly([1, -1], "y") ** j * eulerian_poly(k - j)).nums
+        # C(k,j) (1-y)^j A_{k-j}(y)
+        ones = [(-1) ** i * binomial(j, i) for i in range(j + 1)]
+        in_y = _mul_sum(((ones, eulerian_poly(k - j).nums, binomial(k, j)),))
         p = [0] * (order + 1)
         for e, row in zip(in_y, at):
             p = [v + e * i_m for v, i_m in zip(p, row)]
-        out = [0] * (2 * order + 1)
-        _mul_add(out, xs, p, binomial(k, j))
-        products.append(out)
+        # x^0..x^order of K_j only: one dense sum per kept coefficient
+        p.reverse()
+        products.append([sum(map(mul, xs, p[order - m:]))
+                         for m in range(order + 1)])
     den = x_den * factorial(k) * factorial(order)
     cs = []
     scale = []  # m!/e! for e = 0..m

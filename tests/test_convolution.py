@@ -402,6 +402,54 @@ def test_d_coeffs_matches_the_whole_power():
                 assert d_coeffs(n, k, nu) == want, (n, k, nu)
 
 
+def test_d_row_matches_the_polynomial_power():
+    # the binomial row of (1-y)^e times the row, against the power formed
+    # by UniPoly.__pow__, padded or cut to size
+    import bernkit.convolution as conv
+    rows = [UniPoly((), "y"), UniPoly([-4], "y"), UniPoly([0, 2, -5, 1], "y"),
+            multisum_power(3, 2)[4]]
+    for e in range(61):
+        for row in rows:
+            want = (UniPoly([1, -1], "y") ** e * row).integer_coeffs()
+            for size in (1, e + 1, len(want), len(want) + 3):
+                assert conv._d_row(row, e, size) == list(
+                    (want + (0,) * size)[:size]), (e, row, size)
+    with pytest.raises(ValueError):
+        conv._d_row(UniPoly([Fraction(1, 2), 1], "y"), 3, 5)
+
+
+def test_tree_sum_matches_its_products_on_every_range():
+    # (A, B, T) of each range of leaves against the products it stands for;
+    # above a leaf, A is not formed on the right edge nor B on the left
+    # one, where the tree never reads them
+    import bernkit.convolution as conv
+    leaves = [[j, -1, 2 * j] for j in range(7)]
+    a = [[t, 3] for t in range(6)]
+    b = [[t - 9, 3] for t in range(6)]
+
+    def poly(nums):
+        return UniPoly(nums, "z")
+
+    def prod(factors):
+        out = UniPoly.constant(1, "z")
+        for f in factors:
+            out = out * poly(f)
+        return out
+
+    for lo in range(7):
+        for hi in range(lo + 1, 8):
+            got_a, got_b, got_t = conv._tree_sum(leaves, a, b, lo, hi)
+            want_t = sum((prod(a[lo:j]) * prod(b[j:hi - 1]) * poly(leaves[j])
+                          for j in range(lo, hi)), UniPoly((), "z"))
+            assert poly(got_t) == want_t, (lo, hi)
+            assert (got_a is None) == (hi == 7 and hi - lo > 1), (lo, hi)
+            assert (got_b is None) == (lo == 0 and hi - lo > 1), (lo, hi)
+            if got_a is not None:
+                assert poly(got_a) == prod(a[lo:hi - 1]), (lo, hi)
+            if got_b is not None:
+                assert poly(got_b) == prod(b[lo:hi - 1]), (lo, hi)
+
+
 def test_d_coeffs_builds_rows_through_nu_only(monkeypatch):
     # outside a sweep d_coeffs asks the multisum power for its rows through
     # nu and no further: row 0 is one power of (1-y), whatever nk is

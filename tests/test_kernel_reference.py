@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import bernkit.polycore as pc  # noqa: E402
@@ -115,6 +115,28 @@ def test_scalar_operations_match_reference(a, s):
                       (s - p, RefPoly([s]) - r)):
         assert_canonical(got)
         assert same(got, want)
+
+
+int_coeffs = st.one_of(st.just(0), small_int, big_int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(int_coeffs, max_size=6),
+                          st.lists(int_coeffs, max_size=6),
+                          st.one_of(small_int, big_int)), max_size=5))
+@example([([0, -3, 0], [7], -2), ([5], [0, 0, 1], 1), ([2], [-1], 0)])
+@example([([1, 0, -1], [4, 0, 0, 2], -5), ([], [3], 2), ([0], [0], -1)])
+def test_mul_sum_matches_sum_of_reference_products(terms):
+    # negative scales, length-1 operands and zero entries; the sum is as
+    # long as the longest product, trailing zeros kept, and [] for none
+    got = pc._mul_sum(terms)
+    want = RefPoly([])
+    for a, b, s in terms:
+        want = want + RefPoly(a) * RefPoly(b) * s
+    assert all(type(c) is int for c in got)
+    assert len(got) == max((len(a) + len(b) - 1 for a, b, _ in terms
+                            if a and b), default=0)
+    assert RefPoly(got).cs == want.cs
 
 
 @settings(max_examples=150, deadline=None)

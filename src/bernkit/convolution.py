@@ -40,20 +40,21 @@ from .series import (_exp_zx_read_off, _x_over_expm1_nums, build_F_direct,
 # ---------------------------------------------------------------------------
 
 def s_direct(n: int, k: int) -> UniPoly:
-    """S[n,k](z) by brute-force enumeration of the defining double sum.
+    """S[n,k](z) by the defining double sum, term by term.
 
-    Deliberately naive; this is the reference oracle for the other routes.
-    Every polynomial is held by its values at z = 0..D+1, D = (k+1)n + k:
-    each composition's product has degree exactly D, so D bounds deg S.
-    The factors g_j = B_r(z)/r, r = k+1+j, are evaluated once, as integer
-    numerators over their own denominators, from the Bernoulli number B_r
-    alone: B_r(z+1) - B_r(z) = r z^{r-1}, so at an integer point
-    g_j(z) = B_r/r + sum_{i<z} i^{r-1}, one running sum.  The walk
-    enumerates every weak composition and forms its product point by
-    point, weighted by the multinomial t!/prod j_i! in place of
-    1/prod j_i!.  One exact interpolation recovers S, and raises
-    ArithmeticError unless the difference of order D+1, at the extra
-    point, vanishes.
+    The reference oracle for the other routes: it reads the Bernoulli
+    numbers alone and no kernel product.  Every polynomial is held by its
+    values at z = 0..D+1, D = (k+1)n + k: each composition's product has
+    degree exactly D, so D bounds deg S.  The factors g_j = B_r(z)/r,
+    r = k+1+j, are evaluated once, as integer numerators over their own
+    denominators, from the Bernoulli number B_r alone:
+    B_r(z+1) - B_r(z) = r z^{r-1}, so at an integer point
+    g_j(z) = B_r/r + sum_{i<z} i^{r-1}, one running sum.  A composition's
+    product depends only on the multiset of its parts, so _point_sums adds
+    one product per multiset, weighted by the number of compositions that
+    share it; that regroups the same sum exactly.  One exact interpolation
+    recovers S, and raises ArithmeticError unless the difference of order
+    D+1, at the extra point, vanishes.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
@@ -69,12 +70,13 @@ def s_direct(n: int, k: int) -> UniPoly:
             [b.numerator] + [b.denominator * i ** (r - 1)
                              for i in range(degree + 1)]))
         dens[j] = b.denominator
-    den, sums = _point_walk(factors, dens)
+    sums = _point_sums(factors, dens)
     terms = []
     for m in range(1, n + 1):
         t = (k + 1) * (n - m) + k
         weight = binomial(n + 1, m) * factorial(k) ** (n - m) * (-1) ** (k * m)
-        terms.append((weight, factorial(t) * den(t, m), sums(t, m)))
+        den, values = sums(t, m)
+        terms.append((weight, factorial(t) * den, values))
     common = math.lcm(*[d for _, d, _ in terms])
     total = [0] * (degree + 2)
     for weight, d, values in terms:
@@ -83,78 +85,65 @@ def s_direct(n: int, k: int) -> UniPoly:
     return interpolate(total, common, "z")
 
 
-def _point_walk(factors: dict[int, list[int]], dens: dict[int, int]):
-    """(den, sums) for sums over weak compositions of products of
-    point-value factors.
+def _point_sums(factors: dict[int, list[int]], dens: dict[int, int]):
+    """sums(t, m) = (den, values): the sum over weak compositions
+    (j_1..j_m) of t of t!/prod j_i! * prod g_{j_i}, at every point, as
+    integer numerators over den.
 
     factors[j] holds the numerators of g_j at the points over dens[j].  The
-    compositions of `rest` into `parts` parts are summed over
-    den(rest, parts), the lcm of their products' denominators, so no
-    product carries a denominator it does not need (one common denominator
-    for every factor would put its full size into every part).  The
-    weighted factor
+    compositions are grouped by their multiplicity vectors c (c_j parts
+    equal to j), so each group adds
 
-        C(rest, j) * den(rest, parts) / (dens[j] * den(rest - j, parts - 1))
-        * factors[j]
+        (m!/prod c_j!) * (t!/prod j!^{c_j}) * prod g_j^{c_j}
 
-    scales a composition's remaining parts to their subtree's denominator.
-    Weighted factors and the weighted last-two-part products are formed
-    once per (rest, parts, j) and per rest; that is associativity, and the
-    walk still forms one product per composition, prefix by pair.
-    """
+    and each pointwise power g_j^c is formed once per call.  den is the lcm
+    of the groups' denominators prod dens[j]^{c_j}, so no product carries
+    a denominator it does not need (one common denominator for every
+    factor would put its full size into every group)."""
     @cache
-    def den(rest, parts):
-        if parts == 1:
-            return dens[rest]
-        return math.lcm(*[dens[j] * den(rest - j, parts - 1)
-                          for j in range(rest + 1)])
+    def power(j, c):
+        return [v ** c for v in factors[j]]
 
-    @cache
-    def weighted(rest, parts, j):
-        c = binomial(rest, j) * (den(rest, parts)
-                                 // (dens[j] * den(rest - j, parts - 1)))
-        return [c * v for v in factors[j]]
+    def sums(t, m):
+        vectors = list(_multiplicity_vectors(t, m, t))
+        groups = [math.prod(dens[j] ** c for j, c in v) for v in vectors]
+        den = math.lcm(*groups)
+        acc = repeat(0)  # the empty sum takes the factors' length
+        for v, d in zip(vectors, groups):
+            scale = (multinomial([c for _, c in v]) * (den // d)
+                     * factorial(t) // math.prod(factorial(j) ** c
+                                                 for j, c in v))
+            values = map(scale.__mul__, power(*v[0]))
+            for pair in v[1:]:
+                values = map(mul, values, power(*pair))
+            acc = list(map(add, acc, values))
+        return den, acc
 
-    @cache
-    def pairs(rest):
-        return [list(map(mul, weighted(rest, 2, j), factors[rest - j]))
-                for j in range(rest + 1)]
-
-    def sums(total, parts):
-        # the numerators, over den(total, parts), of the sum over weak
-        # compositions (j_1..j_parts) of total of
-        # total!/prod j_i! * prod g_{j_i}, at every point
-        if parts == 1:
-            return factors[total]
-        # a cap of total leaves every part free
-        return _walk(pairs, weighted, total, total, parts)
-
-    return den, sums
+    return sums
 
 
-def _walk(pairs, factor, cap, rest, parts):
+def _walk(pairs: dict, factors: dict, cap: int, rest: int, parts: int):
     """The sum, point by point, of the products of every weak composition
-    of rest into parts >= 2 parts, each at most cap: the one composition
-    walk of s_direct and multisum_poly, which call it only where such a
-    composition exists.
+    of rest into parts >= 2 parts, each at most cap: multisum_poly's
+    enumeration, called only where such a composition exists.
 
-    A part j at a level of `parts` parts contributes factor(rest, parts, j)
-    and ranges over max(0, rest - (parts-1) cap)..min(cap, rest), so the
-    parts after it can still reach rest - j; pairs(rest) lists the
-    point-value products of the last two parts.  The pending prefixes are
-    kept on a list, not the call stack, so any number of parts is walked;
-    the sums are exact, so their order does not matter."""
+    A part j at a level of `parts` parts contributes factors[j] and ranges
+    over max(0, rest - (parts-1) cap)..min(cap, rest), so the parts after
+    it can still reach rest - j; pairs[rest] lists the point-value products
+    of the last two parts.  The pending prefixes are kept on a list, not
+    the call stack, so any number of parts is walked; the sums are exact,
+    so their order does not matter."""
     # the empty product and the empty sum take the factors' length
     acc, pending = repeat(0), [(rest, parts, repeat(1))]
     while pending:
         rest, parts, prefix = pending.pop()
         if parts == 2:
-            for pair in pairs(rest):
+            for pair in pairs[rest]:
                 acc = list(map(add, acc, map(mul, prefix, pair)))
             continue
         for j in range(max(0, rest - (parts - 1) * cap), min(cap, rest) + 1):
             pending.append((rest - j, parts - 1,
-                            list(map(mul, prefix, factor(rest, parts, j)))))
+                            list(map(mul, prefix, factors[j]))))
     return acc
 
 
@@ -325,14 +314,13 @@ def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
     pairs = {rest: [list(map(mul, factors[j], factors[rest - j]))
                     for j in range(max(0, rest - k), min(k, rest) + 1)]
              for rest in range(max(0, nu - (n - 2) * k), min(2 * k, nu) + 1)}
-    values = _walk(pairs.__getitem__, lambda rest, parts, j: factors[j], k,
-                   nu, n)
+    values = _walk(pairs, factors, k, nu, n)
     return interpolate(values, common ** n, "y")
 
 
 def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
     """Same polynomial via the multinomial theorem: group compositions by
-    the multiplicity vector (m_0..m_k) of their parts.  Each factor
+    the multiset of their parts (_multiplicity_vectors).  Each factor
     (C(k,t) A_t(y))^{m_t} is built once per call, and once per sweep inside
     a `per_run_memo` block; the multinomial coefficients weight one sum of
     products."""
@@ -343,37 +331,42 @@ def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
         powers = {}
     one = UniPoly.constant(1, "y")
     terms = []
-    for counts in _multiplicity_vectors(k, n, nu):
+    for pairs in _multiplicity_vectors(k, n, nu):
         factors = []
-        for t, m_t in enumerate(counts):
-            if m_t:
-                key = ("multisum factor", k, t, m_t)
-                if key not in powers:
-                    powers[key] = (binomial(k, t) * eulerian_poly(t)) ** m_t
-                factors.append(powers[key])
+        for t, m_t in pairs:
+            key = ("multisum factor", k, t, m_t)
+            if key not in powers:
+                powers[key] = (binomial(k, t) * eulerian_poly(t)) ** m_t
+            factors.append(powers[key])
         prefix = factors[0] if len(factors) > 1 else one
         for f in factors[1:-1]:
             prefix = prefix * f
-        terms.append((prefix, factors[-1], multinomial(counts)))
+        terms.append((prefix, factors[-1],
+                      multinomial([m_t for _, m_t in pairs])))
     return dot(terms, "y")
 
 
-def _multiplicity_vectors(k, n, nu):
-    # vectors (m_0..m_k) with sum m_t = n and sum t*m_t = nu; the pending
-    # heads are kept on a list, not the call stack, so any k is walked
-    pending = [((), n, nu)]
+def _multiplicity_vectors(cap, n, nu):
+    """The multisets of n parts in 0..cap with sum nu, each as its
+    (part, count) pairs with count >= 1, largest part first: a multiset
+    stands for the n!/prod count! weak compositions that reorder it.
+
+    The walk picks the largest part left and its count, only where the
+    remaining slots, each below that part, can still reach the remaining
+    weight; so every branch ends in a multiset, and a part that does not
+    occur adds no level to the walk.  The pending heads are kept on a list,
+    not the call stack, so any n or cap is walked."""
+    pending = [((), cap, n, nu)]
     while pending:
-        head, slots, weight = pending.pop()
-        t = len(head)
-        if t == k:
-            if k * slots == weight:
-                yield head + (slots,)
+        head, cap, slots, weight = pending.pop()
+        if not weight:
+            yield head + ((0, slots),) if slots else head
             continue
-        hi = slots if t == 0 else min(slots, weight // t)
-        # remaining slots hold values in t+1..k
-        pending += [(head + (m_t,), slots - m_t, weight - t * m_t)
-                    for m_t in range(hi + 1)
-                    if weight - t * m_t <= (slots - m_t) * k]
+        # the largest part p: slots * p >= weight
+        for p in range(-(-weight // slots), min(cap, weight) + 1):
+            pending += [(head + ((p, c),), p - 1, slots - c, weight - p * c)
+                        for c in range(1, min(slots, weight // p) + 1)
+                        if weight - p * c <= (slots - c) * (p - 1)]
 
 
 def multisum_power(k: int, n: int, top: int | None = None) -> list[UniPoly]:
@@ -494,9 +487,9 @@ def a_jkn_multinomial(k: int, n: int, j: int) -> int:
         raise ValueError("need k >= 1 and n >= 1")
     if j < 0 or j > n * (k - 1):
         return 0
-    return sum(multinomial(counts) * math.prod(
-        eulerian_number(k, t + 1) ** m_t for t, m_t in enumerate(counts))
-        for counts in _multiplicity_vectors(k - 1, n, j))
+    return sum(multinomial([m_t for _, m_t in pairs]) * math.prod(
+        eulerian_number(k, t + 1) ** m_t for t, m_t in pairs)
+        for pairs in _multiplicity_vectors(k - 1, n, j))
 
 
 def u_nu(k: int, n: int, nu: int) -> int:

@@ -21,8 +21,8 @@ in the variable of that coefficient; both fast routes to S[n,k] take their
 powers from it.  ``interpolate`` builds the
 same form from a polynomial's D+2 integer values at 0..D+1 over one
 denominator, D read from their number, and refuses values of degree above
-D; both composition enumerations, the direct route to S[n,k] and the
-multisum polynomials, recover their sums with it.  Coefficients, points and
+D; both point-value sums, the direct route to S[n,k] and the multisum
+enumeration, recover their sums with it.  Coefficients, points and
 scalars are ``int`` or ``Fraction``; a float raises TypeError.
 ``coeffs`` presents the coefficients as reduced ``fractions.Fraction``s; it
 is built on first use and cached.  Each polynomial carries a symbolic

@@ -317,7 +317,8 @@ def test_eulerian_route_reads_no_enumeration_or_bernoulli_data(monkeypatch):
         raise AssertionError("the eulerian route read a forbidden source")
 
     for module, name in [(conv, "multisum_poly"),
-                         (conv, "_point_walk"),
+                         (conv, "_point_sums"),
+                         (conv, "_multiplicity_vectors"),
                          (conv, "bernoulli_poly"), (conv, "build_F_direct"),
                          (sf, "bernoulli_poly"), (sf, "bernoulli_number"),
                          (sf.BernoulliCache, "ensure")]:
@@ -347,8 +348,8 @@ def test_series_route_reads_no_eulerian_or_enumeration_data(monkeypatch):
         raise AssertionError("the series route read a forbidden source")
 
     names = ("eulerian_poly", "eulerian_number", "build_F_eulerian",
-             "multisum_power", "_walk", "_point_walk", "s_direct",
-             "s_eulerian")
+             "multisum_power", "_walk", "_point_sums",
+             "_multiplicity_vectors", "s_direct", "s_eulerian")
     bound = [(module, name) for module in (conv, series, sf)
              for name in names if hasattr(module, name)]
     assert {name for _, name in bound} == set(names)
@@ -816,7 +817,7 @@ def test_s_direct_refuses_a_sum_above_its_degree_bound(monkeypatch):
     # the extra point is a check: a product of degree D + 1 in the sum
     # makes the interpolation raise instead of returning a wrong S
     import bernkit.convolution as conv
-    real = conv._point_walk
+    real = conv._point_sums
 
     def one_degree_up(factors, dens):
         # g_0(z) -> z g_0(z): at (n, k) = (2, 1), D = 5, the compositions
@@ -824,9 +825,72 @@ def test_s_direct_refuses_a_sum_above_its_degree_bound(monkeypatch):
         factors[0] = [z * v for z, v in enumerate(factors[0])]
         return real(factors, dens)
 
-    monkeypatch.setattr(conv, "_point_walk", one_degree_up)
+    monkeypatch.setattr(conv, "_point_sums", one_degree_up)
     with pytest.raises(ArithmeticError):
         s_direct(2, 1)
+
+
+def naive_bernoulli_numbers(top):
+    # B_0..B_top from sum_{i<=m} C(m+1, i) B_i = 0, so B_1 = -1/2
+    b = []
+    for m in range(top + 1):
+        b.append(int(m == 0) - sum(
+            (math.comb(m + 1, i) * b[i] for i in range(m)), Fraction(0))
+            / (m + 1))
+    return b
+
+
+def naive_s_value(n, k, z):
+    # the defining double sum at one rational z, one product per weak
+    # composition (itertools.product), from Fraction Bernoulli numbers
+    from itertools import product as tuples
+    top = (k + 1) * (n - 1) + k  # the largest part, the one part of m = 1
+    b = naive_bernoulli_numbers(k + 1 + top)
+    g = []  # g[j] = B_r(z) / (j! r), r = k+1+j
+    for j in range(top + 1):
+        r = k + 1 + j
+        g.append(sum(math.comb(r, i) * b[i] * z ** (r - i)
+                     for i in range(r + 1)) / (math.factorial(j) * r))
+    total = Fraction(0)
+    for m in range(1, n + 1):
+        t = (k + 1) * (n - m) + k
+        inner = sum(math.prod(g[j] for j in parts)
+                    for parts in tuples(range(t + 1), repeat=m)
+                    if sum(parts) == t)
+        total += (math.comb(n + 1, m) * math.factorial(k) ** (n - m)
+                  * (-1) ** (k * m) * inner)
+    return total
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5)
+                                 for k in range(4)] + [(5, 3), (3, 6)])
+def test_s_direct_matches_a_naive_composition_sum(n, k):
+    s = s_direct(n, k)
+    for z in (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)):
+        assert s(z) == naive_s_value(n, k, z), (n, k, z)
+
+
+def test_multiplicity_vectors_meet_each_weak_composition_once():
+    # a multiset of parts stands for m!/prod c_j! weak compositions
+    import bernkit.convolution as conv
+    for t in range(15):
+        for m in range(1, 8):
+            for cap, want in [(t, math.comb(t + m - 1, m - 1)),
+                              *[(k, conv._composition_count(k, t, m))
+                                for k in range(t)]]:
+                met = 0
+                seen = set()
+                for pairs in conv._multiplicity_vectors(cap, m, t):
+                    parts = [j for j, _ in pairs]
+                    assert parts == sorted(set(parts), reverse=True)
+                    assert all(0 <= j <= cap and c >= 1 for j, c in pairs)
+                    assert sum(c for _, c in pairs) == m
+                    assert sum(j * c for j, c in pairs) == t
+                    assert pairs not in seen
+                    seen.add(pairs)
+                    met += math.factorial(m) // math.prod(
+                        math.factorial(c) for _, c in pairs)
+                assert met == want, (t, m, cap)
 
 
 def test_run_suite_enumerates_each_point_once(monkeypatch):

@@ -27,7 +27,7 @@ from itertools import accumulate, product, repeat
 from operator import add, mul
 
 from . import specialfns
-from .polycore import (UniPoly, _mul_sum, binomial, dot, factorial,
+from .polycore import (UniPoly, _mul_sum, binomial, factorial,
                        falling_product, interpolate, multinomial, power_rows)
 from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
                          eulerian_poly)
@@ -45,16 +45,16 @@ def s_direct(n: int, k: int) -> UniPoly:
     The reference oracle for the other routes: it reads the Bernoulli
     numbers alone and no kernel product.  Every polynomial is held by its
     values at z = 0..D+1, D = (k+1)n + k: each composition's product has
-    degree exactly D, so D bounds deg S.  The factors g_j = B_r(z)/r,
-    r = k+1+j, are evaluated once, as integer numerators over their own
-    denominators, from the Bernoulli number B_r alone:
-    B_r(z+1) - B_r(z) = r z^{r-1}, so at an integer point
-    g_j(z) = B_r/r + sum_{i<z} i^{r-1}, one running sum.  A composition's
-    product depends only on the multiset of its parts, so _point_sums adds
-    one product per multiset, weighted by the number of compositions that
-    share it; that regroups the same sum exactly.  One exact interpolation
-    recovers S, and raises ArithmeticError unless the difference of order
-    D+1, at the extra point, vanishes.
+    degree exactly D, so D bounds deg S.  The factors
+    g_j = B_r(z)/(j! r), r = k+1+j, are evaluated once, as integer
+    numerators over their own denominators, from the Bernoulli number B_r
+    alone: B_r(z+1) - B_r(z) = r z^{r-1}, so at an integer point
+    B_r(z)/r = B_r/r + sum_{i<z} i^{r-1}, one running sum, and the 1/j! goes
+    into the denominator.  The inner sum of each m is then the plain sum of
+    prod g_{j_i} over the weak compositions, which _point_sums adds one
+    product per multiset of parts; that regroups the same sum exactly.  One
+    exact interpolation recovers S, and raises ArithmeticError unless the
+    difference of order D+1, at the extra point, vanishes.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
@@ -69,14 +69,13 @@ def s_direct(n: int, k: int) -> UniPoly:
         factors[j] = list(accumulate(
             [b.numerator] + [b.denominator * i ** (r - 1)
                              for i in range(degree + 1)]))
-        dens[j] = b.denominator
+        dens[j] = b.denominator * factorial(j)
     sums = _point_sums(factors, dens)
     terms = []
     for m in range(1, n + 1):
         t = (k + 1) * (n - m) + k
         weight = binomial(n + 1, m) * factorial(k) ** (n - m) * (-1) ** (k * m)
-        den, values = sums(t, m)
-        terms.append((weight, factorial(t) * den, values))
+        terms.append((weight, *sums(t, m, t)))
     common = math.lcm(*[d for _, d, _ in terms])
     total = [0] * (degree + 2)
     for weight, d, values in terms:
@@ -86,33 +85,30 @@ def s_direct(n: int, k: int) -> UniPoly:
 
 
 def _point_sums(factors: dict[int, list[int]], dens: dict[int, int]):
-    """sums(t, m) = (den, values): the sum over weak compositions
-    (j_1..j_m) of t of t!/prod j_i! * prod g_{j_i}, at every point, as
-    integer numerators over den.
+    """sums(t, m, cap) = (den, values): the sum over weak compositions
+    (j_1..j_m) of t, each part at most cap, of prod f_{j_i}, at every
+    point, as integer numerators over den.
 
-    factors[j] holds the numerators of g_j at the points over dens[j].  The
-    compositions are grouped by their multiplicity vectors c (c_j parts
-    equal to j), so each group adds
-
-        (m!/prod c_j!) * (t!/prod j!^{c_j}) * prod g_j^{c_j}
-
-    and each pointwise power g_j^c is formed once per call.  den is the lcm
-    of the groups' denominators prod dens[j]^{c_j}, so no product carries
-    a denominator it does not need (one common denominator for every
-    factor would put its full size into every group)."""
+    factors[j] holds the numerators of f_j at the points over dens[j]; a
+    part that a composition can hold must have an entry.  The compositions
+    are grouped by their multiplicity vectors c (c_j parts equal to j,
+    _multiplicity_vectors), so each group adds (m!/prod c_j!) prod f_j^{c_j}
+    and each pointwise power f_j^c is formed once per call of _point_sums.
+    den is the lcm of the groups' denominators prod dens[j]^{c_j}, so no
+    product carries a denominator it does not need (one common denominator
+    for every factor would put its full size into every group).  s_direct,
+    multisum_poly_multinomial and u_nu (one point, den 1) call it."""
     @cache
     def power(j, c):
         return [v ** c for v in factors[j]]
 
-    def sums(t, m):
-        vectors = list(_multiplicity_vectors(t, m, t))
+    def sums(t, m, cap):
+        vectors = list(_multiplicity_vectors(cap, m, t))
         groups = [math.prod(dens[j] ** c for j, c in v) for v in vectors]
         den = math.lcm(*groups)
         acc = repeat(0)  # the empty sum takes the factors' length
         for v, d in zip(vectors, groups):
-            scale = (multinomial([c for _, c in v]) * (den // d)
-                     * factorial(t) // math.prod(factorial(j) ** c
-                                                 for j, c in v))
+            scale = multinomial([c for _, c in v]) * (den // d)
             values = map(scale.__mul__, power(*v[0]))
             for pair in v[1:]:
                 values = map(mul, values, power(*pair))
@@ -250,9 +246,7 @@ def per_run_memo():
 
     - ("s", n, k, route): S[n,k] on one route (s_poly);
     - ("multisum_power", k, n): multisum_power(k, n), read by the eulerian
-      route at n = n'+1 and by lemma 5's power computation;
-    - ("multisum factor", k, t, m): (C(k,t) A_t(y))^m, the factors of
-      multisum_poly_multinomial.
+      route at n = n'+1 and by lemma 5's power computation.
 
     Each is derived from a family cache.  `run_suite` opens one per call,
     so nothing outlives a sweep and a fault injected into a family cache
@@ -284,30 +278,16 @@ def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
     part at most k, of prod_i C(k, j_i) A_{j_i}(y), by direct enumeration.
 
     Every composition's product has degree exactly nu, so each factor
-    C(k,j) A_j(y) is held by its values at y = 0..nu+1, integer numerators
-    by Horner's rule over one common denominator.  s_direct's walk, _walk
-    with a cap of k, forms each composition's product point by point, the
-    last two parts as one precomputed pair, and one exact interpolation
+    C(k,j) A_j(y) is held by its values at y = 0..nu+1 (_multisum_points).
+    _walk with a cap of k forms each composition's product point by point,
+    the last two parts as one precomputed pair, and one exact interpolation
     recovers the sum; it raises ArithmeticError unless the difference of
     order nu+1, at the extra point, vanishes."""
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
     if nu > n * k:
         return UniPoly((), "y")
-    # every part is at least what the other n-1 parts cannot reach
-    reachable = range(max(0, nu - (n - 1) * k), min(k, nu) + 1)
-    polys = {j: eulerian_poly(j) for j in reachable}
-    common = math.lcm(*[p.den for p in polys.values()])
-    factors = {}
-    for j, p in polys.items():
-        scale = binomial(k, j) * (common // p.den)
-        values = []
-        for y in range(nu + 2):
-            acc = 0
-            for c in reversed(p.nums):
-                acc = acc * y + c
-            values.append(scale * acc)
-        factors[j] = values
+    factors, common = _multisum_points(k, nu, n)
     if n == 1:
         return interpolate(factors[nu], common, "y")
     # the totals left for the last two parts
@@ -319,31 +299,40 @@ def multisum_poly(k: int, nu: int, n: int) -> UniPoly:
 
 
 def multisum_poly_multinomial(k: int, nu: int, n: int) -> UniPoly:
-    """Same polynomial via the multinomial theorem: group compositions by
-    the multiset of their parts (_multiplicity_vectors).  Each factor
-    (C(k,t) A_t(y))^{m_t} is built once per call, and once per sweep inside
-    a `per_run_memo` block; the multinomial coefficients weight one sum of
-    products."""
+    """Same polynomial via the multinomial theorem: the compositions are
+    grouped by the multiset of their parts, one product of the point values
+    of _multisum_points per multiset weighted by its multinomial coefficient
+    (_point_sums), and one exact interpolation recovers the sum; it raises
+    ArithmeticError unless the difference of order nu+1 vanishes."""
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
-    powers = _run_memo.get()
-    if powers is None:
-        powers = {}
-    one = UniPoly.constant(1, "y")
-    terms = []
-    for pairs in _multiplicity_vectors(k, n, nu):
-        factors = []
-        for t, m_t in pairs:
-            key = ("multisum factor", k, t, m_t)
-            if key not in powers:
-                powers[key] = (binomial(k, t) * eulerian_poly(t)) ** m_t
-            factors.append(powers[key])
-        prefix = factors[0] if len(factors) > 1 else one
-        for f in factors[1:-1]:
-            prefix = prefix * f
-        terms.append((prefix, factors[-1],
-                      multinomial([m_t for _, m_t in pairs])))
-    return dot(terms, "y")
+    if nu > n * k:
+        return UniPoly((), "y")
+    factors, common = _multisum_points(k, nu, n)
+    den, values = _point_sums(factors, dict.fromkeys(factors, common))(
+        nu, n, k)
+    return interpolate(values, den, "y")
+
+
+def _multisum_points(k: int, nu: int, n: int) -> tuple[dict, int]:
+    """(factors, common): the values of C(k,j) A_j(y) at y = 0..nu+1, by
+    Horner's rule, as integer numerators over one common denominator, for
+    every part j that a weak composition of nu into n parts, each at most
+    k, can hold: every part is at least what the other n-1 cannot reach."""
+    polys = {j: eulerian_poly(j)
+             for j in range(max(0, nu - (n - 1) * k), min(k, nu) + 1)}
+    common = math.lcm(*[p.den for p in polys.values()])
+    factors = {}
+    for j, p in polys.items():
+        scale = binomial(k, j) * (common // p.den)
+        values = []
+        for y in range(nu + 2):
+            acc = 0
+            for c in reversed(p.nums):
+                acc = acc * y + c
+            values.append(scale * acc)
+        factors[j] = values
+    return factors, common
 
 
 def _multiplicity_vectors(cap, n, nu):
@@ -355,7 +344,9 @@ def _multiplicity_vectors(cap, n, nu):
     remaining slots, each below that part, can still reach the remaining
     weight; so every branch ends in a multiset, and a part that does not
     occur adds no level to the walk.  The pending heads are kept on a list,
-    not the call stack, so any n or cap is walked."""
+    not the call stack, so any n or cap is walked.  _point_sums (for
+    s_direct, multisum_poly_multinomial and u_nu) and a_jkn_multinomial
+    read it."""
     pending = [((), cap, n, nu)]
     while pending:
         head, cap, slots, weight = pending.pop()
@@ -462,7 +453,8 @@ def a_coeff_list(k: int, n: int) -> tuple[int, ...]:
     """Coefficients of (A_k(y)/y)^n, index j = 0..n(k-1)."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    shifted = UniPoly(eulerian_poly(k).coeffs[1:], "y")
+    a_k = eulerian_poly(k)
+    shifted = UniPoly._build(list(a_k.nums[1:]), a_k.den, "y")
     size = n * (k - 1) + 1
     return ((shifted ** n).integer_coeffs() + (0,) * size)[:size]
 
@@ -494,20 +486,13 @@ def a_jkn_multinomial(k: int, n: int, j: int) -> int:
 
 def u_nu(k: int, n: int, nu: int) -> int:
     """sum over compositions (j_1..j_n), all parts >= 1, of nu+n,
-    of (j_1 * ... * j_n)^k."""
+    of (j_1 * ... * j_n)^k: with i = j - 1, the sum over the weak
+    compositions of nu into n parts of prod (i+1)^k, which _point_sums adds
+    one product per multiset of parts, on one-point factors."""
     if k < 1 or n < 1 or nu < 0:
         raise ValueError("need k >= 1, n >= 1, nu >= 0")
-
-    # (parts left, their total, the product so far), on a list, not the
-    # call stack, so any n is walked
-    total, pending = 0, [(n, nu + n, 1)]
-    while pending:
-        parts, remaining, prod = pending.pop()
-        if parts == 1:
-            total += prod * remaining ** k
-            continue
-        pending += [(parts - 1, remaining - j, prod * j ** k)
-                    for j in range(1, remaining - parts + 2)]
+    factors = {i: [(i + 1) ** k] for i in range(nu + 1)}
+    _, (total,) = _point_sums(factors, dict.fromkeys(factors, 1))(nu, n, nu)
     return total
 
 

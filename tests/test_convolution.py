@@ -185,8 +185,9 @@ def test_multisum_walk_at_the_budget_edge():
 
 
 def test_multisum_poly_forms_no_kernel_product(monkeypatch):
-    # the enumeration multiplies point values, so it shares neither the
-    # convolution loop nor the power primitive of the other two computations
+    # the enumeration and the multinomial sum multiply point values, so they
+    # share neither the convolution loop nor the power primitive of the
+    # bivariate power
     import bernkit.convolution as conv
     import bernkit.polycore as pc
     points = [(3, 5, 4), (2, 3, 1), (4, 6, 2), (2, 8, 4), (2, 9, 4),
@@ -194,13 +195,14 @@ def test_multisum_poly_forms_no_kernel_product(monkeypatch):
     expected = [multisum_by_recursion(*point) for point in points]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("multisum_poly reached a forbidden kernel")
+        raise AssertionError("a multisum sum reached a forbidden kernel")
 
-    for module, name in [(pc, "_mul_add"), (pc, "dot"), (conv, "dot"),
+    for module, name in [(pc, "_mul_add"), (pc, "dot"),
                          (pc, "power_rows"), (conv, "power_rows"),
                          (UniPoly, "__mul__"), (UniPoly, "__rmul__")]:
         monkeypatch.setattr(module, name, forbidden)
-    assert [multisum_poly(*point) for point in points] == expected
+    for compute in (multisum_poly, multisum_poly_multinomial):
+        assert [compute(*point) for point in points] == expected, compute
 
 
 def test_multisum_poly_is_exact_on_rational_factors():
@@ -223,8 +225,9 @@ def test_multisum_poly_refuses_a_sum_above_its_degree_bound(monkeypatch):
     shifted = UniPoly((0,) + real(1).nums, "y")
     monkeypatch.setattr(conv, "eulerian_poly",
                         lambda j: shifted if j == 1 else real(j))
-    with pytest.raises(ArithmeticError):
-        multisum_poly(2, 3, 2)
+    for compute in (multisum_poly, multisum_poly_multinomial):
+        with pytest.raises(ArithmeticError):
+            compute(2, 3, 2)
 
 
 def test_multisum_two_computations_agree():
@@ -688,7 +691,7 @@ def test_u_nu_values():
 @pytest.mark.parametrize("compute, args, expected", [
     (multisum_poly, (1, 0, 1200), UniPoly.constant(1, "y")),
     (u_nu, (1, 1200, 0), 1),
-    # k + 1 = 1,201 multiplicities
+    # a cap of k = 1,200 parts
     (multisum_poly_multinomial, (1200, 0, 1), UniPoly.constant(1, "y"))])
 def test_walks_take_more_parts_than_the_recursion_limit(compute, args,
                                                         expected):
@@ -701,6 +704,22 @@ def test_u_matches_series_expansion():
         for n in range(1, 4):
             for nu in range(7):
                 assert u_nu(k, n, nu) == u_from_a_series(k, n, nu)
+
+
+def test_u_nu_matches_closed_form_and_series_at_depth():
+    # prod j_i summed over the compositions of nu+n into n positive parts is
+    # [x^{nu+n}] (x/(1-x)^2)^n = C(nu+2n-1, 2n-1); a walk over the
+    # compositions, one product each, would not finish at (30, 30), about
+    # 6e16 of them, and the sum over multisets takes milliseconds
+    import time
+    start = time.perf_counter()
+    for n in range(1, 13):
+        for nu in range(13):
+            assert u_nu(1, n, nu) == math.comb(nu + 2 * n - 1, 2 * n - 1), \
+                (n, nu)
+    assert u_nu(1, 30, 30) == math.comb(89, 59) == 448755316337720114153376
+    assert u_nu(3, 40, 40) == u_from_a_series(3, 40, 40)
+    assert time.perf_counter() - start < 10
 
 
 # -- quotient polynomials -----------------------------------------------------
@@ -798,7 +817,7 @@ def test_s_direct_forms_no_kernel_product(monkeypatch):
         raise AssertionError("s_direct reached a forbidden kernel or route")
 
     expected = s_series(4, 3)
-    for module, name in [(pc, "_mul_add"), (pc, "dot"), (conv, "dot"),
+    for module, name in [(pc, "_mul_add"), (pc, "dot"),
                          (pc, "power_rows"), (conv, "power_rows"),
                          (conv, "build_F_direct"), (conv, "multisum_power"),
                          (conv, "multisum_poly"), (conv, "eulerian_poly"),

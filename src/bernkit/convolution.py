@@ -31,8 +31,7 @@ from .polycore import (UniPoly, _mul_sum, binomial, factorial,
                        falling_product, interpolate, multinomial, power_rows)
 from .specialfns import (bernoulli_number, bernoulli_poly, eulerian_number,
                          eulerian_poly)
-from .series import (_exp_zx_read_off, _x_over_expm1_nums, build_F_direct,
-                     build_F_eulerian, higher_bernoulli_poly)
+from .series import build_F_direct, build_F_eulerian, higher_bernoulli_poly
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +515,14 @@ def a_jkn_from_u(k: int, n: int, j: int) -> int:
 
 
 def _a_row_from_u(k: int, n: int, top: int) -> list[int]:
-    # a_0..a_top from u_0..u_top, each u value computed once
+    """a_0..a_top from u_0..u_top, each u value computed once: one product
+    (polycore._mul_sum) of the u values with the signed binomial row
+    (-1)^i C((k+1)n, i) of (1-y)^{(k+1)n}, both taken through top, cut at
+    top."""
     e = (k + 1) * n
     u = [u_nu(k, n, nu) for nu in range(top + 1)]
-    return [sum((-1) ** (j - nu) * binomial(e, j - nu) * u[nu]
-                for nu in range(j + 1)) for j in range(top + 1)]
+    signs = [(-1) ** i * binomial(e, i) for i in range(top + 1)]
+    return _mul_sum(((signs, u, 1),))[:top + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -546,25 +548,27 @@ def _z_coefficient(row: list[int], n: int, k: int) -> Fraction:
     """Theorem 8's z-coefficient from row, the coefficients of
     (A_k(y)/y)^{n+1}, j = 0..top with top = (n+1)(k-1).
 
-    The signed factorial product (-1)^j (n+j)! (k(n+1)-1-j)! of term j is
-    carried from the term before by one multiply and one exact division.
-    The row is palindromic and the factorial product is symmetric under
-    j -> top-j, so terms j and top-j differ by (-1)^top: the sum is
-    (1 + (-1)^top) times the terms j < top/2, plus the middle term when top
-    is even.  At odd top, that is n and k both even, the sum is 0."""
+    The row is palindromic and the signed factorial product
+    (-1)^j (n+j)! (last-j)!, last = k(n+1)-1, is symmetric under
+    j -> top-j up to (-1)^top, so at odd top, that is n and k both even,
+    the sum is 0.  At even top, h = top/2, the terms j < h count twice and
+    the middle once; with n! (last-h)! taken out, term j is
+    row[j] P_j (last-j)!/(last-h)!, P_j = prod_{i=1}^{j} -(n+i), and one
+    Horner pass over j = 0..h multiplies by last-j+1 between terms.  The
+    (last-h)! cancels against the denominator's (last+n+1)!, so every step
+    multiplies by a small factor and nothing is divided."""
     top = (n + 1) * (k - 1)
+    if top % 2:
+        return Fraction(0)
+    h = top // 2
     last = k * (n + 1) - 1
-    u = factorial(n) * factorial(last)
-    acc = 0
-    for j in range((top + 1) // 2):
-        acc += row[j] * u
-        # (last-j) divides (last-j)!, so the division is exact
-        u = -u * (n + j + 1) // (last - j)
-    acc *= 1 + (-1) ** top
-    if top % 2 == 0:
-        acc += row[top // 2] * u
-    return Fraction((-1) ** last * (n + 1) * acc,
-                    factorial(k) * factorial(last + n + 1))
+    acc, p = 0, 1  # p = P_j
+    for j in range(h + 1):
+        acc = acc * (last - j + 1) + (1 if j == h else 2) * row[j] * p
+        p *= -(n + j + 1)
+    return Fraction((-1) ** last * (n + 1) * factorial(n) * acc,
+                    factorial(k) * math.prod(range(last - h + 1,
+                                                   last + n + 2)))
 
 
 def coeff_z_closed(n: int, k: int) -> Fraction:
@@ -668,18 +672,14 @@ def c_sequence(count: int) -> list[Fraction]:
 def c3_sequence(count: int) -> list[Fraction]:
     """z-coefficients of S[n,3](z) for n = 1..count, by Theorem 8's sum
     (_z_coefficient), where the (A_3(y)/y)^{n+1} = (1+4y+y^2)^{n+1}
-    coefficients are carried from one n to the next by one multiplication
-    by 1+4y+y^2."""
+    coefficients are carried from one n to the next by one product
+    (polycore._mul_sum) with 1+4y+y^2."""
     if count < 1:
         raise ValueError("count must be >= 1")
     out = []
     row = [1, 4, 1]
     for n in range(1, count + 1):
-        nxt = row + [0, 0]
-        for j, c in enumerate(row):
-            nxt[j + 1] += 4 * c
-            nxt[j + 2] += c
-        row = nxt
+        row = _mul_sum(((row, [1, 4, 1], 1),))
         out.append(_z_coefficient(row, n, 3))
     return out
 
@@ -979,13 +979,13 @@ def verify_bernoulli_cache(m: int) -> str | None:
 
     The cache is built by the number recurrence, the comparison value by
     series inversion that never reads the cache, so a corrupted cache entry
-    cannot hide.  B_m(z) is read off the first m+1 coefficients of the
-    process-wide x/(e^x-1) that lemma 4 cuts too (series._exp_zx_read_off),
-    with no e^{zx} series formed.  The cache is read off the specialfns
-    module when the check runs.
+    cannot hide.  The comparison value is higher_bernoulli_poly(m, 1), read
+    off the first m+1 coefficients of the process-wide x/(e^x-1) that
+    lemma 4 cuts too, with no e^{zx} series formed.  The cache is read off
+    the specialfns module when the check runs.
     """
     cached = bernoulli_poly(m)
-    independent = _exp_zx_read_off(*_x_over_expm1_nums(1, m))
+    independent = higher_bernoulli_poly(m, 1)
     if cached != independent:
         return f"cached {cached!r} != series value {independent!r}"
     return None

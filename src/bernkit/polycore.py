@@ -11,13 +11,16 @@ convolution costs one normalisation instead of one per ``*`` and ``+``;
 ``UniPoly``'s ``+`` and ``-`` are such sums too.  ``_mul_add`` is the one
 convolution loop; ``_mul_sum`` adds scaled products of integer coefficient
 lists into one new list on top of it, and serves ``UniPoly.__mul__``,
-``dot`` and the integer-list products of the eulerian side (the d-rows and
+``dot``, the integer-list products of the eulerian side (the d-rows and
 product tree of the eulerian route, and (1-y)^j A_{k-j}(y) in the Eulerian
-construction of F_k); ``compose_affine`` runs ``_mul_add`` into a list it
-has seeded.  ``power_rows`` raises a power series with polynomial
-coefficients and a nonzero constant lowest coefficient to an integer power
-by Miller's recurrence, one ``dot`` and one division by a scalar per row,
-in the variable of that coefficient; both fast routes to S[n,k] take their
+construction of F_k) and Theorem 8's two products (the next row of
+(1+4y+y^2)^{n+1} in ``c3_sequence``, and the signed binomial row of
+(1-y)^{(k+1)n} times the u values in ``_a_row_from_u``);
+``compose_affine`` runs ``_mul_add`` into a list it has seeded.
+``power_rows`` raises a power series with polynomial coefficients and a
+nonzero constant lowest coefficient to an integer power by Miller's
+recurrence, one ``dot`` and one division by a scalar per row, in the
+variable of that coefficient; both fast routes to S[n,k] take their
 powers from it.  ``interpolate`` builds the
 same form from a polynomial's D+2 integer values at 0..D+1 over one
 denominator, D read from their number, and refuses values of degree above

@@ -593,8 +593,8 @@ def test_coeff_z_matches_direct():
 
 def coeff_z_by_the_full_sum(n, k):
     # Theorem 8's alternating sum over every term of the row, each factorial
-    # from math.factorial: the reference for the palindromic half sum with
-    # carried products
+    # from math.factorial: the reference for the Horner pass over the half
+    # row
     row = a_coeff_list(k, n + 1)
     last = k * (n + 1) - 1
     total = sum((-1) ** j * a * math.factorial(n + j)
@@ -605,10 +605,11 @@ def coeff_z_by_the_full_sum(n, k):
 
 def test_coeff_z_matches_the_full_alternating_sum():
     # the row's top index (n+1)(k-1) is odd exactly at even n and even k,
-    # so the grid holds both parities
-    for n in range(1, 13):
-        for k in range(1, 7):
-            assert coeff_z_thm8(n, k) == coeff_z_by_the_full_sum(n, k), (n, k)
+    # so the grid holds both parities; the long rows past it have even top
+    # at (40,3) and (41,7) and odd top at (30,8) and (40,6)
+    points = [(n, k) for n in range(1, 13) for k in range(1, 7)]
+    for n, k in points + [(40, 3), (41, 7), (30, 8), (40, 6)]:
+        assert coeff_z_thm8(n, k) == coeff_z_by_the_full_sum(n, k), (n, k)
 
 
 def test_coeff_z_even_even_is_zero():
@@ -661,8 +662,8 @@ def test_a_jkn_refuses_k_or_n_below_one_at_any_j(compute, k, n, j):
 
 
 def test_a_jkn_three_routes_agree():
-    for k in range(1, 4):
-        for n in range(1, 5):
+    for k in range(1, 6):
+        for n in range(1, 6):
             full = a_coeff_list(k, n)
             assert list(full) == list(full)[::-1]   # palindromic
             for j in range(n * (k - 1) + 1):

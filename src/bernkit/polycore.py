@@ -21,8 +21,9 @@ construction of F_k) and Theorem 8's two products (the next row of
 nonzero constant lowest coefficient to an integer power by Miller's
 recurrence, one ``dot`` and one division by a scalar per row, in the
 variable of that coefficient; both fast routes to S[n,k] take their
-powers from it.  ``interpolate`` builds the
-same form from a polynomial's D+2 integer values at 0..D+1 over one
+powers from it, and so does ``UniPoly.__pow__``, on the coefficients from
+the lowest nonzero one as constants, shifted back.  ``interpolate`` builds
+the same form from a polynomial's D+2 integer values at 0..D+1 over one
 denominator, D read from their number, and refuses values of degree above
 D; both point-value sums, the direct route to S[n,k] and the multisum
 enumeration, recover their sums with it.  Coefficients, points and
@@ -206,19 +207,20 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
-        """self**n by left-to-right binary powering: one squaring per bit
-        below the top one and one multiply by self per further set bit,
-        floor(log2 n) + popcount(n) - 1 products in all."""
+        """self**n by one `power_rows` call: with self = var^v h and h_0
+        nonzero, h's coefficients, as constants in var, are raised to the
+        power n through row (deg - v) n, and the rows are shifted by v n.
+        TypeError for an exponent that is not an int, ValueError below 0."""
+        if not isinstance(n, int):
+            raise TypeError("a polynomial power takes an int exponent")
         if n < 0:
             raise ValueError("negative polynomial power")
-        if n == 0:
-            return UniPoly.constant(1, self.var)
-        out = self
-        for bit in bin(n)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        if not self.nums:
+            return UniPoly.constant(int(n == 0), self.var)
+        v = next(i for i, c in enumerate(self.nums) if c)
+        h = [UniPoly._build([c], self.den, self.var) for c in self.nums[v:]]
+        g = power_rows(h, n, (len(h) - 1) * n)
+        return UniPoly([0] * v * n + [r.coefficient(0) for r in g], self.var)
 
     def __call__(self, at: int | Fraction) -> Fraction:
         """Evaluate by Horner's rule, homogenised so the loop runs on ints."""

@@ -173,7 +173,7 @@ def test_dot_rejects_a_variable_mismatch():
 
 
 @settings(max_examples=60, deadline=None)
-@given(short_lists, st.integers(0, 5))
+@given(short_lists, st.integers(0, 12))
 def test_power_matches_reference(a, n):
     got = UniPoly(a) ** n
     assert_canonical(got)

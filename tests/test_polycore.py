@@ -95,7 +95,8 @@ def test_a_float_argument_raises_type_error(p):
     # polynomial included, and before any rounded value is used
     for operation in (lambda: p(0.5), lambda: p.compose_affine(0.5, 1),
                       lambda: p.compose_affine(1, 0.5), lambda: p * 0.5,
-                      lambda: p + 0.5, lambda: UniPoly([0.5])):
+                      lambda: p + 0.5, lambda: UniPoly([0.5]),
+                      lambda: p ** 0.5, lambda: p ** 2.0):
         with pytest.raises(TypeError):
             operation()
 
@@ -119,23 +120,35 @@ def test_pow_matches_repeated_multiplication():
         P(1, 1) ** -1
 
 
-def test_pow_forms_no_discarded_product(monkeypatch):
-    # floor(log2 n) squarings and one product by the base for each set bit
-    # below the top one: no product by the constant 1, no squaring past the
-    # top bit
+def test_pow_is_one_power_rows_call(monkeypatch):
+    # one Miller recurrence on the coefficients from the lowest nonzero one,
+    # shifted back: no product of polynomials, at n = 0, for the zero
+    # polynomial and below a run of zero coefficients too
     calls = []
-    mul_add = polycore._mul_add
+    power_rows = polycore.power_rows
 
     def counting(*args):
         calls.append(args)
-        mul_add(*args)
+        return power_rows(*args)
 
-    monkeypatch.setattr(polycore, "_mul_add", counting)
-    p = P(Fraction(-2, 3), 1, Fraction(5, 7))
-    for n in range(1, 40):
+    def no_product(*args):
+        raise AssertionError("UniPoly.__mul__ called")
+
+    monkeypatch.setattr(polycore, "power_rows", counting)
+    monkeypatch.setattr(UniPoly, "__mul__", no_product)
+    zero = UniPoly((), "y")
+    cases = [(P(Fraction(-2, 3), 1, Fraction(5, 7)), 0, [1]),
+             (P(Fraction(-2, 3), 1, Fraction(5, 7)), 1,
+              [Fraction(-2, 3), 1, Fraction(5, 7)]),
+             (P(0, 0, 2, 0, Fraction(1, 3), var="y"), 2,
+              [0, 0, 0, 0, 4, 0, Fraction(4, 3), 0, Fraction(1, 9)]),
+             (P(0, 0, 0, -1), 3, [0] * 9 + [-1]),
+             (zero, 0, [1]), (zero, 1, []), (zero, 5, [])]
+    for p, n, want in cases:
         calls.clear()
-        p ** n
-        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+        got = p ** n
+        assert got == UniPoly(want, p.var), (p, n)
+        assert len(calls) == (1 if p else 0), (p, n)
 
 
 def test_binomial_multinomial():
